@@ -27,8 +27,6 @@ from .exact import (
     young_winners,
 )
 from .homogeneous import (
-    DodgsonStarProgram,
-    YoungStarProgram,
     dodgson_star_ranking,
     dodgson_star_score,
     dodgson_star_winner,

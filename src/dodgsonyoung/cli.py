@@ -242,12 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--profile", required=True)
     p_score.add_argument("--candidate", action="append")
     add_format(p_score)
+    p_score.set_defaults(func=_cmd_score)
 
     p_winner = sub.add_parser("winner", help="is the candidate a winner? prints true/false")
     p_winner.add_argument("--scheme", choices=homogeneous.SCHEMES, required=True)
     p_winner.add_argument("--profile", required=True)
     p_winner.add_argument("--candidate", required=True)
     add_format(p_winner)
+    p_winner.set_defaults(func=_cmd_winner)
 
     p_rank = sub.add_parser("ranking", help="does candidate tie-or-defeat other? true/false")
     p_rank.add_argument("--scheme", choices=homogeneous.SCHEMES, required=True)
@@ -255,10 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--candidate", required=True)
     p_rank.add_argument("--other", required=True)
     add_format(p_rank)
+    p_rank.set_defaults(func=_cmd_ranking)
 
     p_cond = sub.add_parser("condorcet", help="print the Condorcet winner or 'none'")
     p_cond.add_argument("--profile", required=True)
     add_format(p_cond)
+    p_cond.set_defaults(func=_cmd_condorcet)
 
     p_reduce = sub.add_parser(
         "reduce", help="build a Young Ranking instance from graphs or set families"
@@ -269,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--sets2")
     p_reduce.add_argument("--emit", choices=("profile", "mspc"), default="profile")
     add_format(p_reduce)
+    p_reduce.set_defaults(func=lambda args: _cmd_reduce(args, parser))
 
     p_amp = sub.add_parser("amplify", help="rotate non-designated candidates per voter")
     p_amp.add_argument("--profile", required=True)
@@ -276,11 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_amp.add_argument("--other", required=True)
     p_amp.add_argument("--allow-single-voter", action="store_true")
     add_format(p_amp)
+    p_amp.set_defaults(func=_cmd_amplify)
 
     p_verify = sub.add_parser("verify", help="run the whole reduction chain; prints true/false")
     p_verify.add_argument("--graph1", required=True)
     p_verify.add_argument("--graph2", required=True)
     add_format(p_verify)
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_conv = sub.add_parser(
         "convergence", help="table of score(qV)/q against the starred LP value"
@@ -291,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--q", default="1,2,4,8,16")
     p_conv.add_argument("--max-expanded", type=int, default=256)
     add_format(p_conv)
+    p_conv.set_defaults(func=_cmd_convergence)
 
     return parser
 
@@ -299,26 +307,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.verb == "score":
-            return _cmd_score(args)
-        if args.verb == "winner":
-            return _cmd_winner(args)
-        if args.verb == "ranking":
-            return _cmd_ranking(args)
-        if args.verb == "condorcet":
-            return _cmd_condorcet(args)
-        if args.verb == "reduce":
-            return _cmd_reduce(args, parser)
-        if args.verb == "amplify":
-            return _cmd_amplify(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "convergence":
-            return _cmd_convergence(args)
+        return args.func(args)
     except (ParseError, CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled verb {args.verb!r}")  # pragma: no cover
 
 
 def main() -> None:

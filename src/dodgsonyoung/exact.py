@@ -1,18 +1,22 @@
 """Exact Dodgson and Young scores, their decision problems, and independent
 brute-force oracles.
 
-The ILP routes group identical voters into one bounded integer variable per
-(order, lift) pair; with all multiplicities 1 this is exactly a 0/1 variable
-per voter.  The oracle routes never touch the ILP machinery: Dodgson is a
-shortest-path search over the literal adjacent-swap graph, Young an
-exhaustive subset enumeration.
+Each score has one program, built by :func:`dodgson_rows` or
+:func:`young_rows`.  It groups identical voters into one bounded variable
+per distinct order (and lift, for Dodgson); with all multiplicities 1 this
+is exactly a 0/1 variable per voter.  The exact score solves it as an ILP at
+the strict majority threshold; its LP relaxation at the weak threshold is
+the starred score of :mod:`homogeneous`.  The oracle routes never touch the
+ILP machinery: Dodgson is a shortest-path search over the literal
+adjacent-swap graph, Young an exhaustive subset enumeration.
 """
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from .errors import CapExceededError
 from .lp import IntegerProgram, linear_program, solve_ilp
@@ -36,22 +40,46 @@ def majority_threshold(n: int) -> int:
 
 @dataclass(frozen=True)
 class DodgsonMoveEncoding:
-    """Per-voter lift effects for a designated candidate.
+    """Lift effects for a designated candidate, one row per distinct order.
 
-    ``passed[i][j-1]`` is the set of rivals overtaken when the candidate is
-    lifted j positions in expanded voter i's order (0-based i); it grows
-    monotonically with j.  ``baseline[k]`` counts voters already preferring
-    the candidate over rival k.
+    ``orders[g]`` is the g-th distinct order (by first appearance in file
+    order) and ``counts[g]`` the number of voters holding it.
+    ``passed[g][j-1]`` is the set of rivals overtaken when the candidate is
+    lifted j positions in that order; it grows monotonically with j.
+    ``baseline[k]`` counts voters already preferring the candidate over
+    rival k.  :func:`dodgson_rows` reads it to build the one grouped lift
+    program: its ILP at the strict threshold gives the Dodgson score, and
+    its LP relaxation at the weak threshold gives the Dodgson* score.
     """
 
     candidate: CandidateId
     rivals: tuple[CandidateId, ...]
     total: int
+    orders: tuple[PreferenceOrder, ...]
+    counts: tuple[int, ...]
     passed: tuple[tuple[frozenset[CandidateId], ...], ...]
     baseline: dict[CandidateId, int]
 
-    def gains(self, voter: int, lift: int) -> frozenset[CandidateId]:
-        return self.passed[voter][lift - 1]
+    def gains(self, group: int, lift: int) -> frozenset[CandidateId]:
+        return self.passed[group][lift - 1]
+
+
+def _order_counts(profile: Profile) -> dict[PreferenceOrder, int]:
+    """Voters per distinct order, keyed in order of first appearance."""
+    counts: dict[PreferenceOrder, int] = {}
+    for order, mult in profile.voters:
+        counts[order] = counts.get(order, 0) + mult
+    return counts
+
+
+def _voter_indices(profile: Profile) -> dict[PreferenceOrder, Iterator[int]]:
+    """Each distinct order's 1-based expanded voter indices, lazily, in file order."""
+    runs: dict[PreferenceOrder, list[range]] = {}
+    pos = 0
+    for order, mult in profile.voters:
+        runs.setdefault(order, []).append(range(pos + 1, pos + mult + 1))
+        pos += mult
+    return {order: chain.from_iterable(r) for order, r in runs.items()}
 
 
 def gain_matrix(profile: Profile, c: CandidateId) -> DodgsonMoveEncoding:
@@ -59,61 +87,75 @@ def gain_matrix(profile: Profile, c: CandidateId) -> DodgsonMoveEncoding:
     _require_voters(profile)
     t = tally(profile)
     rivals = tuple(name for name in profile.candidates if name != c)
+    counts = _order_counts(profile)
     passed = []
-    for order in profile.expanded():
+    for order in counts:
         idx = order.index(c)
         passed.append(tuple(frozenset(order[idx - j : idx]) for j in range(1, idx + 1)))
     baseline = {k: t.count(c, k) for k in rivals}
-    return DodgsonMoveEncoding(c, rivals, profile.num_voters, tuple(passed), baseline)
+    return DodgsonMoveEncoding(
+        c, rivals, profile.num_voters, tuple(counts), tuple(counts.values()), tuple(passed), baseline
+    )
 
 
-def _voter_groups(profile: Profile) -> list[tuple[PreferenceOrder, int, list[int]]]:
-    """Distinct orders with multiplicity and their expanded 1-based indices."""
-    groups: dict[PreferenceOrder, list] = {}
-    pos = 0
-    order_list = []
-    for order, mult in profile.voters:
-        if order not in groups:
-            groups[order] = [0, []]
-            order_list.append(order)
-        groups[order][0] += mult
-        groups[order][1].extend(range(pos + 1, pos + mult + 1))
-        pos += mult
-    return [(order, groups[order][0], groups[order][1]) for order in order_list]
+def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
+    """Lift program for c as the ``(variables, objective, constraints)`` of
+    :func:`linear_program`.
+
+    Variable ``m[g,j]`` counts the voters of distinct order g in which c is
+    lifted j positions; it costs j swaps per voter.  Each rival must end up
+    with at least ``floor(n/2)+1`` voters preferring c (the strict majority
+    of the exact score) or, when ``weak``, ``n/2`` (its closure, whose LP
+    value is the starred score).
+    """
+    enc = gain_matrix(profile, c)
+    thr = Fraction(enc.total, 2) if weak else majority_threshold(enc.total)
+    meta = [(g, j) for g, lifts in enumerate(enc.passed) for j in range(1, len(lifts) + 1)]
+    variables = [(f"m[{g},{j}]", 0, enc.counts[g]) for g, j in meta]
+    objective = [j for _, j in meta]
+    constraints = []
+    for g, count in enumerate(enc.counts):
+        coeffs = [1 if h == g else 0 for h, _ in meta]
+        if any(coeffs):
+            constraints.append((coeffs, "<=", count))
+    for k in enc.rivals:
+        need = thr - enc.baseline[k]
+        if need > 0:
+            constraints.append(([1 if k in enc.gains(g, j) else 0 for g, j in meta], ">=", need))
+    return variables, objective, constraints
+
+
+def young_rows(profile: Profile, c: CandidateId, *, weak: bool):
+    """Keep program for c as the ``(variables, objective, constraints)`` of
+    :func:`linear_program`.
+
+    Variable ``y[g]`` counts the kept voters of distinct order g.  Against
+    every rival, supporters of c minus opponents among the kept voters must
+    be at least 1 (a strict majority) or, when ``weak``, 0 (its closure,
+    whose LP value is the starred score).
+    """
+    _require_candidate(profile, c)
+    _require_voters(profile)
+    counts = _order_counts(profile)
+    rivals = tuple(name for name in profile.candidates if name != c)
+    variables = [(f"y[{g}]", 0, count) for g, count in enumerate(counts.values())]
+    objective = [1] * len(counts)
+    rhs = 0 if weak else 1
+    constraints = [
+        ([1 if order.index(c) < order.index(k) else -1 for order in counts], ">=", rhs)
+        for k in rivals
+    ]
+    return variables, objective, constraints
+
+
+def _integer_program(direction: str, rows) -> IntegerProgram:
+    lp = linear_program(direction, *rows)
+    return IntegerProgram(lp, frozenset(var.name for var in lp.variables))
 
 
 def _dodgson_ip(profile: Profile, c: CandidateId):
-    enc = gain_matrix(profile, c)
-    n = enc.total
-    thr = majority_threshold(n)
-    groups = _voter_groups(profile)
-    variables = []
-    objective = []
-    var_meta = []  # (group index, lift)
-    for g, (order, mult, _) in enumerate(groups):
-        idx = order.index(c)
-        for j in range(1, idx + 1):
-            variables.append((f"m[{g},{j}]", 0, mult))
-            objective.append(j)
-            var_meta.append((g, j))
-    constraints = []
-    for g, (order, mult, _) in enumerate(groups):
-        coeffs = [1 if meta[0] == g else 0 for meta in var_meta]
-        if any(coeffs):
-            constraints.append((coeffs, "<=", mult))
-    gains_by_group = []
-    for order, _, _ in groups:
-        idx = order.index(c)
-        gains_by_group.append(tuple(frozenset(order[idx - j : idx]) for j in range(1, idx + 1)))
-    for k in enc.rivals:
-        need = thr - enc.baseline[k]
-        if need <= 0:
-            continue
-        coeffs = [1 if k in gains_by_group[g][j - 1] else 0 for g, j in var_meta]
-        constraints.append((coeffs, ">=", need))
-    lp = linear_program("min", variables, objective, constraints)
-    ip = IntegerProgram(lp, frozenset(name for name, _, _ in variables))
-    return ip, groups, var_meta
+    """Strict Dodgson ILP plus each distinct order's voters, for the witness."""
+    return _integer_program("min", dodgson_rows(profile, c, weak=False)), _voter_indices(profile)
 
 
 def dodgson_score(profile: Profile, c: CandidateId) -> int:
@@ -124,18 +166,15 @@ def dodgson_score(profile: Profile, c: CandidateId) -> int:
 
 def dodgson_score_with_moves(profile: Profile, c: CandidateId):
     """Score plus a witness: a list of (1-based voter index, lift distance)."""
-    ip, groups, var_meta = _dodgson_ip(profile, c)
+    ip, voters = _dodgson_ip(profile, c)
     sol = solve_ilp(ip)
     if sol.status != "optimal":  # pragma: no cover - always feasible for n >= 1
         raise RuntimeError("internal: Dodgson program must be feasible")
     moves = []
-    used = {g: 0 for g in range(len(groups))}
-    for (g, j), var in zip(var_meta, ip.base.variables):
-        count = int(sol.assignment[var.name])
-        for _ in range(count):
-            voter_idx = groups[g][2][used[g]]
-            used[g] += 1
-            moves.append((voter_idx, j))
+    for g, (order, indices) in enumerate(voters.items()):
+        for j in range(1, order.index(c) + 1):
+            count = int(sol.assignment[f"m[{g},{j}]"])
+            moves.extend((voter_idx, j) for voter_idx in islice(indices, count))
     moves.sort()
     return int(sol.objective_value), tuple(moves)
 
@@ -240,21 +279,8 @@ def dodgson_score_bruteforce(
 
 
 def _young_ip(profile: Profile, c: CandidateId):
-    _require_candidate(profile, c)
-    _require_voters(profile)
-    groups = _voter_groups(profile)
-    rivals = tuple(name for name in profile.candidates if name != c)
-    variables = [(f"y[{g}]", 0, mult) for g, (_, mult, _) in enumerate(groups)]
-    objective = [1] * len(groups)
-    constraints = []
-    for k in rivals:
-        coeffs = []
-        for order, _, _ in groups:
-            coeffs.append(1 if order.index(c) < order.index(k) else -1)
-        # strict majority among kept voters: 2*(votes for c) >= T + 1
-        constraints.append((coeffs, ">=", 1))
-    lp = linear_program("max", variables, objective, constraints)
-    return IntegerProgram(lp, frozenset(name for name, _, _ in variables)), groups
+    """Strict Young ILP plus each distinct order's voters, for the witness."""
+    return _integer_program("max", young_rows(profile, c, weak=False)), _voter_indices(profile)
 
 
 def young_score(profile: Profile, c: CandidateId) -> int:
@@ -265,14 +291,13 @@ def young_score(profile: Profile, c: CandidateId) -> int:
 
 def young_score_with_subset(profile: Profile, c: CandidateId):
     """Score plus a witness: the kept expanded voter indices (1-based)."""
-    ip, groups = _young_ip(profile, c)
+    ip, voters = _young_ip(profile, c)
     sol = solve_ilp(ip)
     if sol.status == "infeasible":
         return 0, ()
     kept = []
-    for g, (_, _, indices) in enumerate(groups):
-        count = int(sol.assignment[f"y[{g}]"])
-        kept.extend(indices[:count])
+    for g, indices in enumerate(voters.values()):
+        kept.extend(islice(indices, int(sol.assignment[f"y[{g}]"])))
     kept.sort()
     return int(sol.objective_value), tuple(kept)
 

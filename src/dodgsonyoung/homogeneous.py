@@ -1,17 +1,18 @@
 """Fishburn-limit ("starred") Dodgson and Young scores via exact linear programs.
 
-The starred score of a candidate is lim_{q->inf} score(qV)/q.  For Dodgson
-this is the value of a linear program over per-voter lift fractions; for
-Young, over per-voter keep weights.  Strict majority constraints are closed
-to weak inequalities: under q-fold replication the integer threshold exceeds
-the weak one by at most 1/2 vote, a gap whose per-q share vanishes in the
-limit, so the closed programs attain the limit exactly.  Consequently a
-starred score is 0 (Dodgson) or n (Young) precisely on weak Condorcet
-winners, where ties are allowed.
+The starred score of a candidate is lim_{q->inf} score(qV)/q.  Its program
+is the LP relaxation of the grouped exact program (see
+:func:`exact.dodgson_rows` and :func:`exact.young_rows`) with the strict
+majority threshold closed to a weak one.  Under q-fold replication the
+integer threshold exceeds the weak one by at most 1/2 vote, a gap whose
+per-q share vanishes in the limit, so the relaxation attains the limit
+exactly.  Consequently a starred score is 0 (Dodgson) or n (Young)
+precisely on weak Condorcet winners, where ties are allowed.  Replication
+scales every bound and right-hand side by q and leaves the rows and columns
+as they are, so the program size does not depend on q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
@@ -20,72 +21,27 @@ from .lp import LinearProgram, linear_program, solve_lp
 from .profiles import CandidateId, Profile, replicate
 
 
-@dataclass(frozen=True)
-class DodgsonStarProgram:
-    """LP over lift fractions x[i,j]: share of voter i's replicas lifting the
-    candidate j positions (j=0 is the materialized stay-put share)."""
-
-    candidate: CandidateId
-    lp: LinearProgram
-
-
-@dataclass(frozen=True)
-class YoungStarProgram:
-    """LP over keep weights y[i] in [0,1], maximizing the total kept weight."""
-
-    candidate: CandidateId
-    lp: LinearProgram
-
-
-def dodgson_star_program(profile: Profile, c: CandidateId) -> DodgsonStarProgram:
-    enc = exact.gain_matrix(profile, c)
-    n = enc.total
-    half = Fraction(n, 2)
-    variables = []
-    objective = []
-    meta = []  # (expanded voter 0-based, lift)
-    for i, lifts in enumerate(enc.passed):
-        for j in range(len(lifts) + 1):
-            variables.append((f"x[{i + 1},{j}]", 0, 1))
-            objective.append(j)
-            meta.append((i, j))
-    constraints = []
-    for i in range(n):
-        coeffs = [1 if vi == i else 0 for vi, _ in meta]
-        constraints.append((coeffs, "=", 1))
-    for k in enc.rivals:
-        coeffs = [
-            1 if j >= 1 and k in enc.passed[vi][j - 1] else 0 for vi, j in meta
-        ]
-        constraints.append((coeffs, ">=", half - enc.baseline[k]))
-    return DodgsonStarProgram(c, linear_program("min", variables, objective, constraints))
+def dodgson_star_program(profile: Profile, c: CandidateId) -> LinearProgram:
+    """LP relaxation of the Dodgson lift program at the weak threshold n/2."""
+    return linear_program("min", *exact.dodgson_rows(profile, c, weak=True))
 
 
 def dodgson_star_score(profile: Profile, c: CandidateId) -> Fraction:
-    """Value of the lift-fraction LP; equals lim dodgson_score(qV)/q."""
-    sol = solve_lp(dodgson_star_program(profile, c).lp)
+    """Value of the weak-threshold lift LP; equals lim dodgson_score(qV)/q."""
+    sol = solve_lp(dodgson_star_program(profile, c))
     if sol.status != "optimal":  # pragma: no cover - lifting everything is feasible
         raise RuntimeError("internal: Dodgson* program must be feasible")
     return sol.objective_value
 
 
-def young_star_program(profile: Profile, c: CandidateId) -> YoungStarProgram:
-    exact._require_candidate(profile, c)
-    exact._require_voters(profile)
-    orders = profile.expanded()
-    rivals = tuple(name for name in profile.candidates if name != c)
-    variables = [(f"y[{i + 1}]", 0, 1) for i in range(len(orders))]
-    objective = [1] * len(orders)
-    constraints = []
-    for k in rivals:
-        coeffs = [1 if order.index(c) < order.index(k) else -1 for order in orders]
-        constraints.append((coeffs, ">=", 0))
-    return YoungStarProgram(c, linear_program("max", variables, objective, constraints))
+def young_star_program(profile: Profile, c: CandidateId) -> LinearProgram:
+    """LP relaxation of the Young keep program at the weak threshold."""
+    return linear_program("max", *exact.young_rows(profile, c, weak=True))
 
 
 def young_star_score(profile: Profile, c: CandidateId) -> Fraction:
-    """Value of the keep-weight LP; equals lim young_score(qV)/q."""
-    sol = solve_lp(young_star_program(profile, c).lp)
+    """Value of the weak-threshold keep LP; equals lim young_score(qV)/q."""
+    sol = solve_lp(young_star_program(profile, c))
     if sol.status != "optimal":  # pragma: no cover - zero weights are feasible
         raise RuntimeError("internal: Young* program must be feasible")
     return sol.objective_value

@@ -9,10 +9,9 @@ non-designated candidate into a rotated block per voter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import CapExceededError, ParseError
-from .exact import young_score_with_subset, validate_young_witness
+from .exact import validate_young_witness, young_score_bruteforce, young_score_with_subset
 from .profiles import CandidateId, Profile
 
 
@@ -304,36 +303,7 @@ def amplify_for_winner(
 
 def young_scores_bruteforce_all(profile: Profile) -> dict[CandidateId, int]:
     """Young score of every candidate by subset enumeration (small n only)."""
-    n = profile.num_voters
-    orders = profile.expanded()
-    out = {}
-    for c in profile.candidates:
-        rivals = [k for k in profile.candidates if k != c]
-        masks = []
-        for k in rivals:
-            mask = 0
-            for i, order in enumerate(orders):
-                if order.index(c) < order.index(k):
-                    mask |= 1 << i
-            masks.append(mask)
-        masks.sort(key=lambda m: m.bit_count())
-        limit = min([n] + [2 * m.bit_count() - 1 for m in masks])
-        score = 0
-        for size in range(limit, 0, -1):
-            need = size + 1
-            found = False
-            for combo in combinations(range(n), size):
-                w = 0
-                for i in combo:
-                    w |= 1 << i
-                if all(2 * (w & m).bit_count() >= need for m in masks):
-                    found = True
-                    break
-            if found:
-                score = size
-                break
-        out[c] = score
-    return out
+    return {c: young_score_bruteforce(profile, c) for c in profile.candidates}
 
 
 @dataclass(frozen=True)

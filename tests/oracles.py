@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 from dodgsonyoung import Graph, Profile, graph, set_family
-from dodgsonyoung.lp import IntegerProgram, LinearProgram, linear_program
+from dodgsonyoung.lp import IntegerProgram, LinearProgram, linear_program, solve_lp
 
 CANDIDATE_POOL = ("a", "b", "c", "d", "e", "f")
 
@@ -144,6 +144,45 @@ def random_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
         rhs = rng.randint(-8, 8)
         constraints.append((coeffs, rel, rhs))
     return linear_program(rng.choice(("min", "max")), variables, objective, constraints)
+
+
+def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:
+    """Reference Dodgson*: the lift-fraction LP with one row per expanded voter.
+
+    x[i,j] is the share of voter i's replicas lifting c by j positions (j=0
+    stays put); each voter's shares sum to 1, and every rival needs n/2
+    voters preferring c.
+    """
+    orders = profile.expanded()
+    variables, objective, meta = [], [], []
+    for i, order in enumerate(orders):
+        for j in range(order.index(c) + 1):
+            variables.append((f"x[{i + 1},{j}]", 0, 1))
+            objective.append(j)
+            meta.append((i, j))
+    constraints = [([1 if vi == i else 0 for vi, _ in meta], "=", 1) for i in range(len(orders))]
+    for k in profile.candidates:
+        if k == c:
+            continue
+        baseline = sum(1 for order in orders if order.index(c) < order.index(k))
+        coeffs = []
+        for i, j in meta:
+            idx = orders[i].index(c)
+            coeffs.append(1 if idx - j <= orders[i].index(k) < idx else 0)
+        constraints.append((coeffs, ">=", Fraction(len(orders), 2) - baseline))
+    return solve_lp(linear_program("min", variables, objective, constraints)).objective_value
+
+
+def per_voter_young_star(profile: Profile, c: str) -> Fraction:
+    """Reference Young*: the keep-weight LP with one column y[i] in [0, 1] per expanded voter."""
+    orders = profile.expanded()
+    variables = [(f"y[{i + 1}]", 0, 1) for i in range(len(orders))]
+    constraints = [
+        ([1 if order.index(c) < order.index(k) else -1 for order in orders], ">=", 0)
+        for k in profile.candidates
+        if k != c
+    ]
+    return solve_lp(linear_program("max", variables, [1] * len(orders), constraints)).objective_value
 
 
 def parse_frac(text: str) -> Fraction:

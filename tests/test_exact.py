@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -70,9 +71,10 @@ class TestGainMatrix:
             p = random_profile(rng, 4, 4)
             c = rng.choice(p.candidates)
             enc = gain_matrix(p, c)
-            for i, order in enumerate(p.expanded()):
+            assert sorted(zip(enc.orders, enc.counts)) == sorted(Counter(p.expanded()).items())
+            for g, order in enumerate(enc.orders):
                 for j in range(1, order.index(c) + 1):
-                    assert enc.gains(i, j) == lift_simulation(order, c, j)
+                    assert enc.gains(g, j) == lift_simulation(order, c, j)
 
     def test_monotone_in_lift_distance(self):
         enc = gain_matrix(CYCLE, "B")

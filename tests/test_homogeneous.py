@@ -10,6 +10,7 @@ from dodgsonyoung import (
     dodgson_star_ranking,
     dodgson_star_score,
     dodgson_star_winner,
+    gain_matrix,
     homogeneity_check,
     parse_profile,
     replicate,
@@ -26,7 +27,7 @@ from dodgsonyoung.homogeneous import (
     young_star_program,
     young_star_winners,
 )
-from oracles import random_profile
+from oracles import per_voter_dodgson_star, per_voter_young_star, random_profile
 
 CYCLE = parse_profile("candidates: A B C\nvoter: A > B > C\nvoter: B > C > A\nvoter: C > A > B\n")
 SINGLE = parse_profile("candidates: c d e\nvoter: c > d > e\n")
@@ -40,29 +41,33 @@ def is_weak_condorcet(profile, c):
 
 class TestDodgsonStarProgram:
     def test_structure_matches_move_encoding(self):
-        prog = dodgson_star_program(CYCLE, "A").lp
-        n = CYCLE.num_voters
-        rivals = 2
-        # one equality per voter plus one closed majority row per rival
-        assert len(prog.constraints) == n + rivals
-        eq_rows = [con for con in prog.constraints if con.relation == "="]
-        assert len(eq_rows) == n
-        for con in eq_rows:
-            assert con.rhs == 1
-        ge_rows = [con for con in prog.constraints if con.relation == ">="]
-        for con in ge_rows:
-            assert con.rhs.denominator in (1, 2)  # n/2 - w_k
+        prog = dodgson_star_program(CYCLE, "A")
+        enc = gain_matrix(CYCLE, "A")
+        # one column per (distinct order, lift), bounded by the order's multiplicity
+        names = [v.name for v in prog.variables]
+        assert names == [
+            f"m[{g},{j}]" for g, lifts in enumerate(enc.passed) for j in range(1, len(lifts) + 1)
+        ]
+        assert names == ["m[1,1]", "m[1,2]", "m[2,1]"]
+        assert list(prog.objective) == [1, 2, 1]
         for var in prog.variables:
             assert var.lower == 0 and var.upper == 1
-        # stay-put variables are materialized with zero cost
-        names = [v.name for v in prog.variables]
-        assert "x[1,0]" in names and "x[2,0]" in names and "x[3,0]" in names
+        # one capacity row per order that can lift c, no stay-put equalities
+        le_rows = [con for con in prog.constraints if con.relation == "<="]
+        assert [con.rhs for con in le_rows] == [1, 1]
+        assert not any(con.relation == "=" for con in prog.constraints)
+        # one weak-majority row per rival still short of n/2: only C (w_C = 1)
+        ge_rows = [con for con in prog.constraints if con.relation == ">="]
+        assert [con.rhs for con in ge_rows] == [F(3, 2) - 1]
 
     def test_majority_rows_use_half_total(self):
-        prog = dodgson_star_program(OPPOSED, "c").lp
-        ge = [con for con in prog.constraints if con.relation == ">="]
+        # a tie already meets n/2, so the rival needs no row
+        prog = dodgson_star_program(OPPOSED, "c")
+        assert not any(con.relation == ">=" for con in prog.constraints)
+        p = parse_profile("candidates: c d\nvoter: c > d\nvoter 3: d > c\n")
+        ge = [con for con in dodgson_star_program(p, "c").constraints if con.relation == ">="]
         assert len(ge) == 1
-        assert ge[0].rhs == F(2, 2) - 1  # n/2 - w_d with n=2, w_d=1
+        assert ge[0].rhs == F(4, 2) - 1  # n/2 - w_d with n=4, w_d=1
 
 
 class TestDodgsonStarScore:
@@ -125,8 +130,13 @@ class TestYoungStarScore:
             assert young_star_score(p, c) >= young_score(p, c)
 
     def test_program_shape(self):
-        prog = young_star_program(CYCLE, "A").lp
+        prog = young_star_program(CYCLE, "A")
         assert prog.direction == "max"
+        assert [(v.name, v.lower, v.upper) for v in prog.variables] == [
+            ("y[0]", 0, 1),
+            ("y[1]", 0, 1),
+            ("y[2]", 0, 1),
+        ]
         assert all(c == 1 for c in prog.objective)
         assert len(prog.constraints) == 2
         for con in prog.constraints:
@@ -187,6 +197,32 @@ class TestScaleInvariance:
             for q in (2, 3):
                 assert dodgson_star_winners(replicate(p, q)) == dodgson_star_winners(p)
                 assert young_star_winners(replicate(p, q)) == young_star_winners(p)
+
+
+class TestProgramSize:
+    def test_rows_and_columns_do_not_depend_on_replication(self):
+        rng = random.Random(79)
+        for _ in range(10):
+            p = random_profile(rng, 4, 5)
+            c = rng.choice(p.candidates)
+            for build in (dodgson_star_program, young_star_program):
+                small, big = build(p, c), build(replicate(p, 64), c)
+                assert [v.name for v in big.variables] == [v.name for v in small.variables]
+                assert [con.coeffs for con in big.constraints] == [
+                    con.coeffs for con in small.constraints
+                ]
+                assert [v.upper for v in big.variables] == [64 * v.upper for v in small.variables]
+                assert [con.rhs for con in big.constraints] == [
+                    64 * con.rhs for con in small.constraints
+                ]
+
+    def test_grouped_relaxation_equals_per_voter_programs(self):
+        rng = random.Random(83)
+        for _ in range(100):
+            p = replicate(random_profile(rng, 5, 9), rng.choice((1, 2, 3)))
+            c = rng.choice(p.candidates)
+            assert dodgson_star_score(p, c) == per_voter_dodgson_star(p, c)
+            assert young_star_score(p, c) == per_voter_young_star(p, c)
 
 
 class TestConvergence:
