@@ -13,14 +13,13 @@ adjacent-swap graph, Young an exhaustive subset enumeration.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 from .errors import CapExceededError
 from .lp import IntegerProgram, linear_program, solve_ilp
-from .profiles import CandidateId, PreferenceOrder, Profile, condorcet_winner, restrict, tally
+from .profiles import CandidateId, PreferenceOrder, Profile, condorcet_winner, tally
 
 
 def _require_candidate(profile: Profile, c: CandidateId) -> None:
@@ -72,14 +71,18 @@ def _order_counts(profile: Profile) -> dict[PreferenceOrder, int]:
     return counts
 
 
-def _voter_indices(profile: Profile) -> dict[PreferenceOrder, Iterator[int]]:
-    """Each distinct order's 1-based expanded voter indices, lazily, in file order."""
-    runs: dict[PreferenceOrder, list[range]] = {}
-    pos = 0
-    for order, mult in profile.voters:
-        runs.setdefault(order, []).append(range(pos + 1, pos + mult + 1))
-        pos += mult
-    return {order: chain.from_iterable(r) for order, r in runs.items()}
+def _take(profile: Profile, picks):
+    """Check ``(group, count)`` picks against the distinct orders' multiplicities;
+    return the picked orders and the ``(order, count)`` entries left over."""
+    groups = list(_order_counts(profile).items())
+    left = [mult for _, mult in groups]
+    for g, count in picks:
+        if not (isinstance(g, int) and 0 <= g < len(groups)):
+            raise ValueError(f"group {g!r} out of range 0..{len(groups) - 1}")
+        if not (isinstance(count, int) and 1 <= count <= left[g]):
+            raise ValueError(f"count {count!r} out of range 1..{left[g]} for group {g}")
+        left[g] -= count
+    return [groups[g][0] for g, _ in picks], [(o, n) for (o, _), n in zip(groups, left) if n]
 
 
 def gain_matrix(profile: Profile, c: CandidateId) -> DodgsonMoveEncoding:
@@ -153,11 +156,6 @@ def _integer_program(direction: str, rows) -> IntegerProgram:
     return IntegerProgram(lp, frozenset(var.name for var in lp.variables))
 
 
-def _dodgson_ip(profile: Profile, c: CandidateId):
-    """Strict Dodgson ILP plus each distinct order's voters, for the witness."""
-    return _integer_program("min", dodgson_rows(profile, c, weak=False)), _voter_indices(profile)
-
-
 def dodgson_score(profile: Profile, c: CandidateId) -> int:
     """Minimum number of adjacent swaps making c the Condorcet winner."""
     score, _ = dodgson_score_with_moves(profile, c)
@@ -165,44 +163,45 @@ def dodgson_score(profile: Profile, c: CandidateId) -> int:
 
 
 def dodgson_score_with_moves(profile: Profile, c: CandidateId):
-    """Score plus a witness: a list of (1-based voter index, lift distance)."""
-    ip, voters = _dodgson_ip(profile, c)
-    sol = solve_ilp(ip)
+    """Score plus a witness: a ``(group, lift, count)`` triple for each nonzero
+    ``m[g,j]``, lifting c ``lift`` positions in ``count`` voters of the g-th
+    distinct order (by first appearance, as in :func:`gain_matrix`)."""
+    sol = solve_ilp(_integer_program("min", dodgson_rows(profile, c, weak=False)))
     if sol.status != "optimal":  # pragma: no cover - always feasible for n >= 1
         raise RuntimeError("internal: Dodgson program must be feasible")
-    moves = []
-    for g, (order, indices) in enumerate(voters.items()):
-        for j in range(1, order.index(c) + 1):
-            count = int(sol.assignment[f"m[{g},{j}]"])
-            moves.extend((voter_idx, j) for voter_idx in islice(indices, count))
-    moves.sort()
-    return int(sol.objective_value), tuple(moves)
+    moves = (
+        (g, j, int(sol.assignment[f"m[{g},{j}]"]))
+        for g, order in enumerate(_order_counts(profile))
+        for j in range(1, order.index(c) + 1)
+    )
+    return int(sol.objective_value), tuple(move for move in moves if move[2])
 
 
 def apply_moves(profile: Profile, c: CandidateId, moves) -> Profile:
-    """Lift c by the given distances in the given voters (at most one lift each)."""
+    """Replay a sequence of ``(group, lift, count)`` triples on the distinct
+    orders, lifting each voter at most once.  Every lifted order becomes its
+    own entry; the untouched rest of each group stays one entry."""
     _require_candidate(profile, c)
-    orders = list(profile.expanded())
-    seen = set()
-    for voter_idx, j in moves:
-        if voter_idx in seen:
-            raise ValueError(f"voter {voter_idx} lifted twice")
-        seen.add(voter_idx)
-        order = list(orders[voter_idx - 1])
+    orders, rest = _take(profile, [(g, count) for g, _, count in moves])
+    lifted = []
+    for order, (g, j, count) in zip(orders, moves):
         idx = order.index(c)
-        if j < 1 or j > idx:
-            raise ValueError(f"lift {j} out of range for voter {voter_idx}")
-        del order[idx]
-        order.insert(idx - j, c)
-        orders[voter_idx - 1] = tuple(order)
-    return Profile(profile.candidates, tuple((order, 1) for order in orders))
+        if not (isinstance(j, int) and 1 <= j <= idx):
+            raise ValueError(f"lift {j!r} out of range 1..{idx} for group {g}")
+        lifted.append((order[: idx - j] + (c,) + order[idx - j : idx] + order[idx + 1 :], count))
+    return Profile(profile.candidates, tuple(rest + lifted))
 
 
 def validate_dodgson_witness(profile: Profile, c: CandidateId, score: int, moves) -> bool:
-    """Replay the move list: cost must match and c must end up Condorcet winner."""
-    if sum(j for _, j in moves) != score:
+    """Replay the triples: their cost must equal score and c must end up the
+    Condorcet winner.  A malformed witness gives False."""
+    _require_candidate(profile, c)
+    try:
+        moves = tuple(moves)
+        replayed = apply_moves(profile, c, moves)
+    except (TypeError, ValueError):
         return False
-    return condorcet_winner(apply_moves(profile, c, moves)) == c
+    return sum(j * count for _, j, count in moves) == score and condorcet_winner(replayed) == c
 
 
 def dodgson_score_bruteforce(
@@ -278,11 +277,6 @@ def dodgson_score_bruteforce(
     raise RuntimeError("internal: swap graph search exhausted")  # pragma: no cover
 
 
-def _young_ip(profile: Profile, c: CandidateId):
-    """Strict Young ILP plus each distinct order's voters, for the witness."""
-    return _integer_program("max", young_rows(profile, c, weak=False)), _voter_indices(profile)
-
-
 def young_score(profile: Profile, c: CandidateId) -> int:
     """Size of a largest voter subset for which c is the Condorcet winner."""
     score, _ = young_score_with_subset(profile, c)
@@ -290,24 +284,29 @@ def young_score(profile: Profile, c: CandidateId) -> int:
 
 
 def young_score_with_subset(profile: Profile, c: CandidateId):
-    """Score plus a witness: the kept expanded voter indices (1-based)."""
-    ip, voters = _young_ip(profile, c)
+    """Score plus a witness: a ``(group, count)`` pair for each nonzero
+    ``y[g]``, keeping ``count`` voters of the g-th distinct order."""
+    ip = _integer_program("max", young_rows(profile, c, weak=False))
     sol = solve_ilp(ip)
     if sol.status == "infeasible":
         return 0, ()
-    kept = []
-    for g, indices in enumerate(voters.values()):
-        kept.extend(islice(indices, int(sol.assignment[f"y[{g}]"])))
-    kept.sort()
-    return int(sol.objective_value), tuple(kept)
+    kept = enumerate(int(sol.assignment[var.name]) for var in ip.base.variables)
+    return int(sol.objective_value), tuple((g, count) for g, count in kept if count)
 
 
 def validate_young_witness(profile: Profile, c: CandidateId, score: int, kept) -> bool:
-    if len(kept) != score:
+    """Rebuild the kept sub-profile from distinct groups: its size must equal
+    score and c must be its Condorcet winner.  A malformed witness gives False."""
+    _require_candidate(profile, c)
+    try:
+        kept = tuple(kept)
+        orders, _ = _take(profile, kept)
+    except (TypeError, ValueError):
         return False
-    if score == 0:
-        return True
-    return condorcet_winner(restrict(profile, kept)) == c
+    counts = [count for _, count in kept]
+    if len({g for g, _ in kept}) < len(kept) or sum(counts) != score:
+        return False
+    return score == 0 or condorcet_winner(Profile(profile.candidates, tuple(zip(orders, counts)))) == c
 
 
 def young_score_bruteforce(profile: Profile, c: CandidateId, *, max_voters: int = 22) -> int:
@@ -402,7 +401,7 @@ class ScoreReport:
 
 
 def dodgson_report(profile: Profile, *, with_witnesses: bool = False) -> ScoreReport:
-    """Full-candidate Dodgson report; witnesses are optimal move lists."""
+    """Full-candidate Dodgson report; witnesses are ``(group, lift, count)`` triples."""
     if not with_witnesses:
         return ScoreReport("dodgson", tuple(dodgson_scores(profile).items()))
     results = [(c, dodgson_score_with_moves(profile, c)) for c in profile.candidates]
@@ -414,7 +413,7 @@ def dodgson_report(profile: Profile, *, with_witnesses: bool = False) -> ScoreRe
 
 
 def young_report(profile: Profile, *, with_witnesses: bool = False) -> ScoreReport:
-    """Full-candidate Young report; witnesses are kept-voter index subsets."""
+    """Full-candidate Young report; witnesses are ``(group, count)`` kept pairs."""
     if not with_witnesses:
         return ScoreReport("young", tuple(young_scores(profile).items()))
     results = [(c, young_score_with_subset(profile, c)) for c in profile.candidates]

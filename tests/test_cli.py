@@ -50,6 +50,20 @@ def test_golden_outputs_are_byte_identical(golden_name, capsys):
     assert first == (GOLDEN / golden_name).read_text()
 
 
+def test_huge_multiplicity_line_answers_at_once(tmp_path, capsys):
+    # not in GOLDEN_CASES, which the cli-chain benchmark workload replays
+    huge = tmp_path / "huge.elect"
+    huge.write_text("candidates: a b\nvoter 99999999999999: a > b\n")
+    cases = [
+        (["score", "--scheme", "dodgson"], "a  0\nb  50000000000000\n"),
+        (["score", "--scheme", "young"], "a  99999999999999\nb  0\n"),
+        (["winner", "--scheme", "dodgson", "--candidate", "b"], "false\n"),
+    ]
+    for argv, expected in cases:
+        assert run(argv + ["--profile", str(huge)]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestExitCodes:
     def test_missing_file_is_domain_error(self, capsys):
         assert run(["condorcet", "--profile", str(FIXTURES / "nope.elect")]) == 1
@@ -65,18 +79,15 @@ class TestExitCodes:
                     "--candidate", "Z"]) == 1
         assert "unknown candidate" in capsys.readouterr().err
 
-    def test_guard_violation(self, capsys):
+    def test_guard_violation(self, capsys, tmp_path):
         assert run(["reduce", "--graph1", str(FIXTURES / "star3.graph"),
                     "--graph2", str(FIXTURES / "star3.graph")]) == 0
         capsys.readouterr()
         # P3-like instance with kappa <= 2 must be refused
-        p3 = FIXTURES / "tmp_p3.graph"
+        p3 = tmp_path / "p3.graph"
         p3.write_text("vertices: a b c\nedge: a b\nedge: b c\n")
-        try:
-            assert run(["verify", "--graph1", str(p3), "--graph2", str(FIXTURES / "star3.graph")]) == 1
-            assert "exceed 2" in capsys.readouterr().err
-        finally:
-            p3.unlink()
+        assert run(["verify", "--graph1", str(p3), "--graph2", str(FIXTURES / "star3.graph")]) == 1
+        assert "exceed 2" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:

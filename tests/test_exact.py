@@ -5,11 +5,13 @@ import pytest
 
 from dodgsonyoung import (
     CapExceededError,
+    Profile,
     condorcet_winner,
     dodgson_ranking,
     dodgson_score,
     dodgson_score_bruteforce,
     dodgson_score_with_moves,
+    dodgson_star_score,
     dodgson_winner,
     dodgson_winners,
     gain_matrix,
@@ -17,20 +19,23 @@ from dodgsonyoung import (
     replicate,
     validate_dodgson_witness,
     validate_young_witness,
+    winner_set,
     young_ranking,
     young_score,
     young_score_bruteforce,
     young_score_with_subset,
+    young_star_score,
     young_winner,
     young_winners,
 )
-from dodgsonyoung.exact import _young_ip, apply_moves
-from dodgsonyoung.lp import solve_lp
+from dodgsonyoung.exact import apply_moves, young_rows
+from dodgsonyoung.lp import linear_program, solve_lp
 from oracles import random_profile
 
 CYCLE = parse_profile("candidates: A B C\nvoter: A > B > C\nvoter: B > C > A\nvoter: C > A > B\n")
 SINGLE = parse_profile("candidates: c d e\nvoter: c > d > e\n")
 OPPOSED = parse_profile("candidates: c d\nvoter: c > d\nvoter: d > c\n")
+HUGE = parse_profile("candidates: a b\nvoter 99999999999999: a > b\n")
 
 
 def lift_simulation(order, c, j):
@@ -114,9 +119,9 @@ class TestDodgsonScore:
 
     def test_apply_moves_rejects_bad_lifts(self):
         with pytest.raises(ValueError):
-            apply_moves(SINGLE, "c", [(1, 1)])  # c already on top
+            apply_moves(SINGLE, "c", [(0, 1, 1)])  # c already on top
         with pytest.raises(ValueError):
-            apply_moves(CYCLE, "A", [(2, 1), (2, 1)])
+            apply_moves(CYCLE, "A", [(1, 1, 1), (1, 1, 1)])  # group 1 holds one voter
 
     def test_bruteforce_cap(self):
         p = random_profile(random.Random(1), 4, 6, min_voters=6)
@@ -185,8 +190,7 @@ class TestYoungScore:
         for _ in range(25):
             p = random_profile(rng, 4, 8)
             c = rng.choice(p.candidates)
-            ip, _ = _young_ip(p, c)
-            relaxed = solve_lp(ip.base)
+            relaxed = solve_lp(linear_program("max", *young_rows(p, c, weak=False)))
             score = young_score(p, c)
             if relaxed.status == "optimal":
                 assert relaxed.objective_value >= score
@@ -255,3 +259,69 @@ class TestReplication:
                     assert dodgson_score(big, c) == dodgson_score_bruteforce(big, c)
                 if big.num_voters <= 16:
                     assert young_score(big, c) == young_score_bruteforce(big, c)
+
+
+# CYCLE's distinct orders are groups 0: A > B > C, 1: B > C > A, 2: C > A > B;
+# its scores for A are Dodgson 1 (witness ((2, 1, 1),)) and Young 1.
+MALFORMED_WITNESSES = {
+    "young-group-listed-thrice": ("young", 3, ((0, 1), (0, 1), (0, 1))),
+    "young-count-over-multiplicity": ("young", 2, ((0, 2),)),
+    "young-group-out-of-range": ("young", 1, ((3, 1),)),
+    "young-negative-group": ("young", 1, ((-1, 1),)),
+    "young-zero-count": ("young", 0, ((0, 0),)),
+    "young-size-not-score": ("young", 2, ((0, 1),)),
+    "young-not-a-pair": ("young", 1, ((0,),)),
+    "young-not-a-sequence": ("young", 1, None),
+    "dodgson-negative-group": ("dodgson", 1, ((-1, 1, 1),)),
+    "dodgson-group-out-of-range": ("dodgson", 1, ((3, 1, 1),)),
+    "dodgson-cost-not-score": ("dodgson", 2, ((2, 1, 1),)),
+    "dodgson-group-over-lifted": ("dodgson", 2, ((2, 1, 1), (2, 1, 1))),
+    "dodgson-lift-past-top": ("dodgson", 2, ((2, 2, 1),)),
+    "dodgson-lift-of-top": ("dodgson", 1, ((0, 1, 1),)),
+    "dodgson-zero-lift": ("dodgson", 0, ((2, 0, 1),)),
+    "dodgson-zero-count": ("dodgson", 0, ((2, 1, 0),)),
+    "dodgson-fractional-count": ("dodgson", 1, ((2, 1, 1.0),)),
+    "dodgson-voter-index-pair": ("dodgson", 1, ((3, 1),)),
+}
+
+
+class TestWitnessValidation:
+    def test_cycle_witnesses(self):
+        assert dodgson_score_with_moves(CYCLE, "A") == (1, ((2, 1, 1),))
+        assert validate_dodgson_witness(CYCLE, "A", 1, ((2, 1, 1),))
+        assert validate_young_witness(CYCLE, "A", 1, ((0, 1),))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_WITNESSES))
+    def test_malformed_witness_is_rejected(self, case):
+        scheme, score, witness = MALFORMED_WITNESSES[case]
+        validate = validate_dodgson_witness if scheme == "dodgson" else validate_young_witness
+        assert validate(CYCLE, "A", score, witness) is False
+
+    def test_huge_multiplicity_witnesses(self):
+        assert dodgson_score_with_moves(HUGE, "b") == (50000000000000, ((0, 1, 50000000000000),))
+        assert young_score_with_subset(HUGE, "a") == (99999999999999, ((0, 99999999999999),))
+        lifted = apply_moves(HUGE, "b", ((0, 1, 50000000000000),))
+        assert lifted.voters == ((("a", "b"), 49999999999999), (("b", "a"), 50000000000000))
+
+
+class TestNoVoterExpansion:
+    def test_scoring_and_validation_never_expand(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("voters expanded")
+
+        monkeypatch.setattr(Profile, "expanded", refuse)
+        rng = random.Random(41)
+        profiles = [HUGE]
+        for _ in range(30):
+            p = random_profile(rng, 4, 5)
+            profiles += [p, replicate(p, 7)]
+        for p in profiles:
+            for c in p.candidates:
+                score, moves = dodgson_score_with_moves(p, c)
+                assert validate_dodgson_witness(p, c, score, moves)
+                score, kept = young_score_with_subset(p, c)
+                assert validate_young_witness(p, c, score, kept)
+                dodgson_star_score(p, c)
+                young_star_score(p, c)
+            for scheme in ("dodgson", "young", "dodgson-star", "young-star"):
+                winner_set(p, scheme)

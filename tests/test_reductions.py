@@ -168,13 +168,20 @@ class TestMspcToYoungRanking:
             k1 = kappa(s1)
             score, kept = young_score_with_subset(out.profile, "c")
             assert score == 2 * k1 + 1
-            forms = [out.form_of_voter[i - 1] for i in kept]
+            voter_to_set = {v: t for t, v in enumerate(out.set_voters_first)}
+            shape = {}  # distinct order -> (voter form, member set for form 1)
+            for i, order in enumerate(out.profile.expanded(), 1):
+                form = out.form_of_voter[i - 1]
+                member = s1.family[voter_to_set[i]] if form == 1 else None
+                assert shape.setdefault(order, (form, member)) == (form, member)
+            groups = list(shape)
+            voters = [shape[groups[g]] for g, count in kept for _ in range(count)]
+            forms = [form for form, _ in voters]
             lam = sum(1 for f in forms if f in (2, 3))
             assert lam == k1 + 1
             assert sum(1 for f in forms if f == 1) == lam - 1
             assert all(f not in (4, 5, 6) for f in forms)
-            voter_to_set = {v: t for t, v in enumerate(out.set_voters_first)}
-            chosen = [s1.family[voter_to_set[i]] for i in kept if out.form_of_voter[i - 1] == 1]
+            chosen = [member for form, member in voters if form == 1]
             seen = set()
             for member in chosen:
                 assert not (seen & set(member))
