@@ -9,13 +9,12 @@ from independence-number comparison down to Young Winner.
 from .errors import CapExceededError, ParseError
 from .exact import (
     DodgsonMoveEncoding,
-    ScoreReport,
+    Scheme,
     dodgson_ranking,
     dodgson_score,
     dodgson_score_bruteforce,
     dodgson_score_with_moves,
     dodgson_winner,
-    dodgson_winners,
     gain_matrix,
     validate_dodgson_witness,
     validate_young_witness,
@@ -24,9 +23,9 @@ from .exact import (
     young_score_bruteforce,
     young_score_with_subset,
     young_winner,
-    young_winners,
 )
 from .homogeneous import (
+    SCHEMES,
     dodgson_star_ranking,
     dodgson_star_score,
     dodgson_star_winner,

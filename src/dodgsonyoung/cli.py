@@ -13,31 +13,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import exact, homogeneous, reductions
+from . import reductions
 from .errors import CapExceededError, ParseError
-from .exact import ScoreReport
+from .homogeneous import SCHEMES
 from .profiles import Profile, condorcet_winner, parse_profile, replicate, serialize_profile
-
-_SCORERS = {
-    "dodgson": exact.dodgson_score,
-    "young": exact.young_score,
-    "dodgson-star": homogeneous.dodgson_star_score,
-    "young-star": homogeneous.young_star_score,
-}
-_WINNER_PREDICATES = {
-    "dodgson": exact.dodgson_winner,
-    "young": exact.young_winner,
-    "dodgson-star": homogeneous.dodgson_star_winner,
-    "young-star": homogeneous.young_star_winner,
-}
-_RANKING_PREDICATES = {
-    "dodgson": exact.dodgson_ranking,
-    "young": exact.young_ranking,
-    "dodgson-star": homogeneous.dodgson_star_ranking,
-    "young-star": homogeneous.young_star_ranking,
-}
-_CONVERGENCE_BASE = {"dodgson-star": exact.dodgson_score, "young-star": exact.young_score}
-
 
 def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
@@ -47,16 +26,15 @@ def _score_repr(value):
     return _frac_str(value) if isinstance(value, Fraction) else value
 
 
-def emit_report(report: ScoreReport, fmt: str) -> str:
-    """Render a score report; rationals appear as p/q strings in both formats."""
+def emit_report(scores: dict, fmt: str) -> str:
+    """Render ``{candidate: score}``; rationals appear as p/q strings in both formats."""
+    shown = {name: _score_repr(score) for name, score in scores.items()}
     if fmt == "json":
-        payload = {name: _score_repr(score) for name, score in report.scores}
-        return json.dumps(payload) + "\n"
-    if len(report.scores) == 1:
-        return f"{_score_repr(report.scores[0][1])}\n"
-    width = max(len(name) for name, _ in report.scores)
-    lines = [f"{name.ljust(width)}  {_score_repr(score)}" for name, score in report.scores]
-    return "\n".join(lines) + "\n"
+        return json.dumps(shown) + "\n"
+    if len(shown) == 1:
+        return f"{next(iter(shown.values()))}\n"
+    width = max(map(len, shown))
+    return "".join(f"{name.ljust(width)}  {value}\n" for name, value in shown.items())
 
 
 def _load_profile(path: str) -> Profile:
@@ -70,21 +48,20 @@ def _print_bool(value: bool) -> int:
 
 def _cmd_score(args) -> int:
     profile = _load_profile(args.profile)
-    scorer = _SCORERS[args.scheme]
-    selected = args.candidate or list(profile.candidates)
-    report = ScoreReport(args.scheme, tuple((c, scorer(profile, c)) for c in selected))
-    sys.stdout.write(emit_report(report, args.format))
+    score = SCHEMES[args.scheme].score
+    selected = args.candidate or profile.candidates
+    sys.stdout.write(emit_report({c: score(profile, c) for c in selected}, args.format))
     return 0
 
 
 def _cmd_winner(args) -> int:
     profile = _load_profile(args.profile)
-    return _print_bool(_WINNER_PREDICATES[args.scheme](profile, args.candidate))
+    return _print_bool(SCHEMES[args.scheme].winner(profile, args.candidate))
 
 
 def _cmd_ranking(args) -> int:
     profile = _load_profile(args.profile)
-    return _print_bool(_RANKING_PREDICATES[args.scheme](profile, args.candidate, args.other))
+    return _print_bool(SCHEMES[args.scheme].ranking(profile, args.candidate, args.other))
 
 
 def _cmd_condorcet(args) -> int:
@@ -199,15 +176,12 @@ def _cmd_convergence(args) -> int:
         if q < 1:
             raise ValueError(f"replication factors must be positive, got {q}")
         qs.append(q)
-    if profile.num_voters * max(qs) > args.max_expanded:
-        raise CapExceededError(f"convergence run capped at {args.max_expanded} expanded voters")
-    base_score = _CONVERGENCE_BASE[args.scheme]
-    star = _SCORERS[args.scheme]
+    base_score = SCHEMES[args.scheme.removesuffix("-star")].score
     points = []
     for q in qs:
         score = base_score(replicate(profile, q), args.candidate)
         points.append((q, score, Fraction(score, q)))
-    limit = star(profile, args.candidate)
+    limit = SCHEMES[args.scheme].score(profile, args.candidate)
     if args.format == "json":
         payload = {
             "scheme": args.scheme,
@@ -238,21 +212,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_score = sub.add_parser("score", help="score candidates under a scheme")
-    p_score.add_argument("--scheme", choices=homogeneous.SCHEMES, required=True)
+    p_score.add_argument("--scheme", choices=SCHEMES, required=True)
     p_score.add_argument("--profile", required=True)
     p_score.add_argument("--candidate", action="append")
     add_format(p_score)
     p_score.set_defaults(func=_cmd_score)
 
     p_winner = sub.add_parser("winner", help="is the candidate a winner? prints true/false")
-    p_winner.add_argument("--scheme", choices=homogeneous.SCHEMES, required=True)
+    p_winner.add_argument("--scheme", choices=SCHEMES, required=True)
     p_winner.add_argument("--profile", required=True)
     p_winner.add_argument("--candidate", required=True)
     add_format(p_winner)
     p_winner.set_defaults(func=_cmd_winner)
 
     p_rank = sub.add_parser("ranking", help="does candidate tie-or-defeat other? true/false")
-    p_rank.add_argument("--scheme", choices=homogeneous.SCHEMES, required=True)
+    p_rank.add_argument("--scheme", choices=SCHEMES, required=True)
     p_rank.add_argument("--profile", required=True)
     p_rank.add_argument("--candidate", required=True)
     p_rank.add_argument("--other", required=True)
@@ -296,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--profile", required=True)
     p_conv.add_argument("--candidate", required=True)
     p_conv.add_argument("--q", default="1,2,4,8,16")
-    p_conv.add_argument("--max-expanded", type=int, default=256)
     add_format(p_conv)
     p_conv.set_defaults(func=_cmd_convergence)
 

@@ -8,7 +8,8 @@ is exactly a 0/1 variable per voter.  The exact score solves it as an ILP at
 the strict majority threshold; its LP relaxation at the weak threshold is
 the starred score of :mod:`homogeneous`.  The oracle routes never touch the
 ILP machinery: Dodgson is a shortest-path search over the literal
-adjacent-swap graph, Young an exhaustive subset enumeration.
+adjacent-swap graph, Young an exhaustive subset enumeration.  Winner and
+Ranking are the methods of a :class:`Scheme` row, ``DODGSON`` or ``YOUNG``.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 from .errors import CapExceededError
 from .lp import IntegerProgram, linear_program, solve_ilp
@@ -343,82 +345,43 @@ def young_score_bruteforce(profile: Profile, c: CandidateId, *, max_voters: int 
 # -- decision problems ----------------------------------------------------
 
 
-def dodgson_scores(profile: Profile) -> dict[CandidateId, int]:
-    return {c: dodgson_score(profile, c) for c in profile.candidates}
-
-
-def young_scores(profile: Profile) -> dict[CandidateId, int]:
-    return {c: young_score(profile, c) for c in profile.candidates}
-
-
-def dodgson_winner(profile: Profile, c: CandidateId) -> bool:
-    """Is c's Dodgson score minimal over all candidates?"""
-    _require_candidate(profile, c)
-    scores = dodgson_scores(profile)
-    return scores[c] <= min(scores.values())
-
-
-def dodgson_ranking(profile: Profile, c: CandidateId, d: CandidateId) -> bool:
-    """Does c tie-or-defeat d, i.e. DodgsonScore(c) <= DodgsonScore(d)?"""
-    _require_candidate(profile, c)
-    _require_candidate(profile, d)
-    return dodgson_score(profile, c) <= dodgson_score(profile, d)
-
-
-def young_winner(profile: Profile, c: CandidateId) -> bool:
-    """Is c's Young score maximal over all candidates?"""
-    _require_candidate(profile, c)
-    scores = young_scores(profile)
-    return scores[c] >= max(scores.values())
-
-
-def young_ranking(profile: Profile, c: CandidateId, d: CandidateId) -> bool:
-    """Does c tie-or-defeat d, i.e. YoungScore(c) >= YoungScore(d)?"""
-    _require_candidate(profile, c)
-    _require_candidate(profile, d)
-    return young_score(profile, c) >= young_score(profile, d)
-
-
-def dodgson_winners(profile: Profile) -> tuple[CandidateId, ...]:
-    scores = dodgson_scores(profile)
-    best = min(scores.values())
-    return tuple(c for c in profile.candidates if scores[c] == best)
-
-
-def young_winners(profile: Profile) -> tuple[CandidateId, ...]:
-    scores = young_scores(profile)
-    best = max(scores.values())
-    return tuple(c for c in profile.candidates if scores[c] == best)
-
-
 @dataclass(frozen=True)
-class ScoreReport:
-    """Scores for a set of candidates under one scheme, in display order."""
+class Scheme:
+    """A scoring scheme: its score and the extreme that wins (``min`` for
+    Dodgson, ``max`` for Young).  Winner and Ranking compare scores the same
+    way for every scheme."""
 
-    scheme: str
-    scores: tuple[tuple[CandidateId, int | Fraction], ...]
-    witnesses: tuple[tuple[CandidateId, tuple], ...] | None = None
+    name: str
+    score: Callable[[Profile, CandidateId], int | Fraction]
+    better: Callable
+
+    def scores(self, profile: Profile) -> dict[CandidateId, int | Fraction]:
+        return {c: self.score(profile, c) for c in profile.candidates}
+
+    def winners(self, profile: Profile) -> tuple[CandidateId, ...]:
+        """All candidates with the best score, in candidate display order."""
+        scores = self.scores(profile)
+        best = self.better(scores.values())
+        return tuple(c for c, score in scores.items() if score == best)
+
+    def winner(self, profile: Profile, c: CandidateId) -> bool:
+        """Is c's score the best over all candidates?"""
+        _require_candidate(profile, c)
+        return c in self.winners(profile)
+
+    def ranking(self, profile: Profile, c: CandidateId, d: CandidateId) -> bool:
+        """Does c tie-or-defeat d, i.e. is score(c) at least as good as score(d)?"""
+        _require_candidate(profile, c)
+        _require_candidate(profile, d)
+        score = self.score(profile, c)
+        return self.better(score, self.score(profile, d)) == score
 
 
-def dodgson_report(profile: Profile, *, with_witnesses: bool = False) -> ScoreReport:
-    """Full-candidate Dodgson report; witnesses are ``(group, lift, count)`` triples."""
-    if not with_witnesses:
-        return ScoreReport("dodgson", tuple(dodgson_scores(profile).items()))
-    results = [(c, dodgson_score_with_moves(profile, c)) for c in profile.candidates]
-    return ScoreReport(
-        "dodgson",
-        tuple((c, score) for c, (score, _) in results),
-        tuple((c, moves) for c, (_, moves) in results),
-    )
+# The scorers are looked up at call time, so that rebinding them (as a tracer does) is seen.
+DODGSON = Scheme("dodgson", lambda p, c: dodgson_score(p, c), min)
+YOUNG = Scheme("young", lambda p, c: young_score(p, c), max)
 
-
-def young_report(profile: Profile, *, with_witnesses: bool = False) -> ScoreReport:
-    """Full-candidate Young report; witnesses are ``(group, count)`` kept pairs."""
-    if not with_witnesses:
-        return ScoreReport("young", tuple(young_scores(profile).items()))
-    results = [(c, young_score_with_subset(profile, c)) for c in profile.candidates]
-    return ScoreReport(
-        "young",
-        tuple((c, score) for c, (score, _) in results),
-        tuple((c, kept) for c, (_, kept) in results),
-    )
+dodgson_winner = DODGSON.winner
+dodgson_ranking = DODGSON.ranking
+young_winner = YOUNG.winner
+young_ranking = YOUNG.ranking

@@ -10,13 +10,15 @@ exactly.  Consequently a starred score is 0 (Dodgson) or n (Young)
 precisely on weak Condorcet winners, where ties are allowed.  Replication
 scales every bound and right-hand side by q and leaves the rows and columns
 as they are, so the program size does not depend on q.
+
+``SCHEMES`` maps each scheme name to its :class:`exact.Scheme` row: the two
+exact rows and the starred rows defined here.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from . import exact
-from .errors import CapExceededError
 from .lp import LinearProgram, linear_program, solve_lp
 from .profiles import CandidateId, Profile, replicate
 
@@ -47,82 +49,31 @@ def young_star_score(profile: Profile, c: CandidateId) -> Fraction:
     return sol.objective_value
 
 
-def dodgson_star_scores(profile: Profile) -> dict[CandidateId, Fraction]:
-    return {c: dodgson_star_score(profile, c) for c in profile.candidates}
+# The scorers are looked up at call time, so that rebinding them (as a tracer does) is seen.
+DODGSON_STAR = exact.Scheme("dodgson-star", lambda p, c: dodgson_star_score(p, c), min)
+YOUNG_STAR = exact.Scheme("young-star", lambda p, c: young_star_score(p, c), max)
 
+dodgson_star_winner = DODGSON_STAR.winner
+dodgson_star_ranking = DODGSON_STAR.ranking
+young_star_winner = YOUNG_STAR.winner
+young_star_ranking = YOUNG_STAR.ranking
 
-def young_star_scores(profile: Profile) -> dict[CandidateId, Fraction]:
-    return {c: young_star_score(profile, c) for c in profile.candidates}
-
-
-def dodgson_star_winner(profile: Profile, c: CandidateId) -> bool:
-    exact._require_candidate(profile, c)
-    scores = dodgson_star_scores(profile)
-    return scores[c] <= min(scores.values())
-
-
-def dodgson_star_ranking(profile: Profile, c: CandidateId, d: CandidateId) -> bool:
-    exact._require_candidate(profile, c)
-    exact._require_candidate(profile, d)
-    return dodgson_star_score(profile, c) <= dodgson_star_score(profile, d)
-
-
-def young_star_winner(profile: Profile, c: CandidateId) -> bool:
-    exact._require_candidate(profile, c)
-    scores = young_star_scores(profile)
-    return scores[c] >= max(scores.values())
-
-
-def young_star_ranking(profile: Profile, c: CandidateId, d: CandidateId) -> bool:
-    exact._require_candidate(profile, c)
-    exact._require_candidate(profile, d)
-    return young_star_score(profile, c) >= young_star_score(profile, d)
-
-
-def dodgson_star_winners(profile: Profile) -> tuple[CandidateId, ...]:
-    scores = dodgson_star_scores(profile)
-    best = min(scores.values())
-    return tuple(c for c in profile.candidates if scores[c] == best)
-
-
-def young_star_winners(profile: Profile) -> tuple[CandidateId, ...]:
-    scores = young_star_scores(profile)
-    best = max(scores.values())
-    return tuple(c for c in profile.candidates if scores[c] == best)
-
-
-SCHEMES = ("dodgson", "young", "dodgson-star", "young-star")
-
-_WINNER_SETS = {
-    "dodgson": exact.dodgson_winners,
-    "young": exact.young_winners,
-    "dodgson-star": dodgson_star_winners,
-    "young-star": young_star_winners,
-}
+SCHEMES = {s.name: s for s in (exact.DODGSON, exact.YOUNG, DODGSON_STAR, YOUNG_STAR)}
 
 
 def winner_set(profile: Profile, scheme: str) -> tuple[CandidateId, ...]:
-    """All winners of the given scheme, in candidate display order."""
-    try:
-        fn = _WINNER_SETS[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEMES)}") from None
-    return fn(profile)
+    """All winners of the named scheme, in candidate display order."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEMES)}")
+    return SCHEMES[scheme].winners(profile)
 
 
-def homogeneity_check(scheme: str, profile: Profile, q: int, *, max_expanded: int = 64) -> bool:
+def homogeneity_check(scheme: str, profile: Profile, q: int) -> bool:
     """Does the scheme elect the same winner set on the q-fold replicated profile?
 
     True is guaranteed for the starred schemes (their scores scale exactly by
     q); for the exact schemes this is a reporting tool, since Dodgson and
     Young are known not to be homogeneous in general.
     """
-    if scheme not in _WINNER_SETS:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEMES)}")
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"replication factor must be a positive integer, got {q!r}")
-    if scheme in ("dodgson", "young") and profile.num_voters * q > max_expanded:
-        raise CapExceededError(
-            f"exact-scheme homogeneity check capped at {max_expanded} expanded voters"
-        )
-    return winner_set(profile, scheme) == winner_set(replicate(profile, q), scheme)
+    replicated = replicate(profile, q)  # rejects a bad q before any score is computed
+    return winner_set(profile, scheme) == winner_set(replicated, scheme)

@@ -7,8 +7,9 @@ indices 1..n in file order.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError
 
@@ -80,6 +81,31 @@ class PairwiseTally:
         }
 
 
+def payload_lines(text: str, first: str, other: str) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, head, rest)`` for each ``head: rest`` line of a
+    line-oriented file, both parts stripped.
+
+    Blank lines and comment lines (starting with ``#``) are skipped.  The
+    first payload line must have head ``first``; the others are left to the
+    caller, ``other`` naming them in the error for a line without a colon.
+    """
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, sep, rest = line.partition(":")
+        if not sep:
+            raise ParseError(f"expected '{first}:' or '{other}:' line", lineno)
+        head = head.strip()
+        if not header_seen and head != first:
+            raise ParseError(f"first non-comment line must be '{first}: ...'", lineno)
+        header_seen = True
+        yield lineno, head, rest.strip()
+    if not header_seen:
+        raise ParseError(f"no {first} line")
+
+
 def parse_profile(text: str) -> Profile:
     """Parse the line-oriented profile format.
 
@@ -90,18 +116,8 @@ def parse_profile(text: str) -> Profile:
     candidates: tuple[str, ...] | None = None
     cand_set: set[str] = set()
     voters: list[tuple[PreferenceOrder, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError("expected 'candidates:' or 'voter:' line", lineno)
-        head = head.strip()
-        rest = rest.strip()
+    for lineno, head, rest in payload_lines(text, "candidates", "voter"):
         if candidates is None:
-            if head != "candidates":
-                raise ParseError("first non-comment line must be 'candidates: ...'", lineno)
             names = rest.split()
             if not names:
                 raise ParseError("empty candidate list", lineno)
@@ -137,8 +153,6 @@ def parse_profile(text: str) -> Profile:
             missing = sorted(cand_set - set(order))
             raise ParseError(f"order omits candidate(s): {' '.join(missing)}", lineno)
         voters.append((tuple(order), mult))
-    if candidates is None:
-        raise ParseError("no candidates line")
     if not voters:
         raise ParseError("no voter lines")
     return Profile(candidates, tuple(voters))
@@ -204,10 +218,11 @@ def restrict(profile: Profile, keep: Iterable[int]) -> Profile:
     for idx in keep_set:
         if not isinstance(idx, int) or idx < 1 or idx > n:
             raise ValueError(f"voter index {idx!r} out of range 1..{n}")
+    ordered = sorted(keep_set)
     entries = []
     pos = 0
     for order, mult in profile.voters:
-        kept = sum(1 for i in range(pos + 1, pos + mult + 1) if i in keep_set)
+        kept = bisect_right(ordered, pos + mult) - bisect_right(ordered, pos)
         if kept:
             entries.append((order, kept))
         pos += mult

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, ParseError
 from .exact import validate_young_witness, young_score_bruteforce, young_score_with_subset
-from .profiles import CandidateId, Profile
+from .profiles import CandidateId, Profile, payload_lines
 
 
 @dataclass(frozen=True)
@@ -388,18 +388,8 @@ def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format: 'vertices: ...' then 'edge: u v' lines."""
     vertices: tuple[str, ...] | None = None
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError("expected 'vertices:' or 'edge:' line", lineno)
-        head = head.strip()
-        rest = rest.strip()
+    for lineno, head, rest in payload_lines(text, "vertices", "edge"):
         if vertices is None:
-            if head != "vertices":
-                raise ParseError("first non-comment line must be 'vertices: ...'", lineno)
             names = rest.split()
             if not names:
                 raise ParseError("empty vertex list", lineno)
@@ -420,8 +410,6 @@ def parse_graph(text: str) -> Graph:
         if any(frozenset((u, v)) == frozenset(e) for e in edges):
             raise ParseError(f"duplicate edge ({u!r}, {v!r})", lineno)
         edges.append((u, v))
-    if vertices is None:
-        raise ParseError("no vertices line")
     return graph(vertices, edges)
 
 
@@ -429,18 +417,8 @@ def parse_set_family(text: str) -> SetFamilyInstance:
     """Parse the set-family format: 'base: ...' then 'set: ...' lines."""
     base: tuple[str, ...] | None = None
     family: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise ParseError("expected 'base:' or 'set:' line", lineno)
-        head = head.strip()
-        rest = rest.strip()
+    for lineno, head, rest in payload_lines(text, "base", "set"):
         if base is None:
-            if head != "base":
-                raise ParseError("first non-comment line must be 'base: ...'", lineno)
             names = rest.split()
             if not names:
                 raise ParseError("empty ground set", lineno)
@@ -455,8 +433,6 @@ def parse_set_family(text: str) -> SetFamilyInstance:
             family.append(tuple(set_family(base, [elements]).family[0]))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-    if base is None:
-        raise ParseError("no base line")
     return SetFamilyInstance(base, tuple(family))
 
 

@@ -25,10 +25,7 @@ from dodgsonyoung import (
     young_star_score,
 )
 from dodgsonyoung.cli import run
-from dodgsonyoung.homogeneous import (
-    dodgson_star_winners,
-    young_star_winners,
-)
+from dodgsonyoung.homogeneous import DODGSON_STAR, YOUNG_STAR
 from dodgsonyoung.lp import linear_program, solve_ilp, solve_lp
 from dodgsonyoung.reductions import young_scores_bruteforce_all
 from oracles import (
@@ -182,8 +179,8 @@ def test_criterion_7_starred_scale_invariance():
                 assert dodgson_star_score(big, c) == q * dodgson_star_score(p, c)
                 assert young_star_score(big, c) == q * young_star_score(p, c)
                 pairs += 1
-            assert dodgson_star_winners(big) == dodgson_star_winners(p)
-            assert young_star_winners(big) == young_star_winners(p)
+            for scheme in (DODGSON_STAR, YOUNG_STAR):
+                assert scheme.winners(big) == scheme.winners(p)
     _report(7, pairs > 0, f"starred scores scale exactly by q and winner sets match ({pairs} checks)")
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -7,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from dodgsonyoung.cli import emit_report, run
-from dodgsonyoung.exact import ScoreReport
 from oracles import parse_frac
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -103,16 +103,20 @@ class TestExitCodes:
         assert code == 0
         assert capsys.readouterr().out == "false\n"
 
-    def test_convergence_cap(self, capsys):
-        code = run(["convergence", "--scheme", "young-star", "--profile",
-                    str(FIXTURES / "cycle.elect"), "--candidate", "A",
-                    "--q", "200"])
-        assert code == 1
-        assert "capped" in capsys.readouterr().err
+    def test_convergence_has_no_voter_cap(self, capsys, tmp_path):
+        assert run(["convergence", "--scheme", "young-star", "--profile",
+                    str(FIXTURES / "cycle.elect"), "--candidate", "A", "--q", "200"]) == 0
+        assert capsys.readouterr().out == "q      score  score/q\n200    399    399/200\nlimit         2/1\n"
+        cycle300 = tmp_path / "cycle300.elect"
+        cycle300.write_text("candidates: A B C\nvoter 100: A > B > C\n"
+                            "voter 100: B > C > A\nvoter 100: C > A > B\n")
+        assert run(["convergence", "--scheme", "dodgson-star", "--profile", str(cycle300),
+                    "--candidate", "A"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "limit         50/1"
 
 
 class TestEmitReport:
-    REPORT = ScoreReport("young-star", (("A", F(2)), ("B", F(2)), ("C", F(2))))
+    REPORT = {"A": F(2), "B": F(2), "C": F(2)}
 
     def test_json_renders_rationals_as_strings(self):
         assert emit_report(self.REPORT, "json") == '{"A": "2/1", "B": "2/1", "C": "2/1"}\n'
@@ -127,8 +131,7 @@ class TestEmitReport:
         assert parsed_text == {name: parse_frac(v) for name, v in data.items()}
 
     def test_single_candidate_prints_bare_value(self):
-        report = ScoreReport("young", (("c", 7),))
-        assert emit_report(report, "text") == "7\n"
+        assert emit_report({"c": 7}, "text") == "7\n"
 
     def test_full_report_without_filter(self, capsys):
         assert run(["score", "--scheme", "young", "--profile", str(FIXTURES / "cycle.elect")]) == 0
@@ -137,11 +140,16 @@ class TestEmitReport:
 
 
 def test_module_entry_point_runs():
+    # pytest's `pythonpath` setting does not reach a child process
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "dodgsonyoung", "condorcet", "--profile",
          str(FIXTURES / "single.elect")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "c\n"

@@ -7,28 +7,22 @@ from dodgsonyoung import (
     CapExceededError,
     Profile,
     condorcet_winner,
-    dodgson_ranking,
     dodgson_score,
     dodgson_score_bruteforce,
     dodgson_score_with_moves,
     dodgson_star_score,
-    dodgson_winner,
-    dodgson_winners,
     gain_matrix,
     parse_profile,
     replicate,
     validate_dodgson_witness,
     validate_young_witness,
     winner_set,
-    young_ranking,
     young_score,
     young_score_bruteforce,
     young_score_with_subset,
     young_star_score,
-    young_winner,
-    young_winners,
 )
-from dodgsonyoung.exact import apply_moves, young_rows
+from dodgsonyoung.exact import DODGSON, YOUNG, apply_moves, young_rows
 from dodgsonyoung.lp import linear_program, solve_lp
 from oracles import random_profile
 
@@ -111,9 +105,11 @@ class TestDodgsonScore:
 
     def test_witness_replays(self):
         rng = random.Random(13)
+        cases = [(p, c) for p in (CYCLE, SINGLE, OPPOSED) for c in p.candidates]
         for _ in range(25):
             p = random_profile(rng, 4, 5)
-            c = rng.choice(p.candidates)
+            cases.append((p, rng.choice(p.candidates)))
+        for p, c in cases:
             score, moves = dodgson_score_with_moves(p, c)
             assert validate_dodgson_witness(p, c, score, moves)
 
@@ -167,9 +163,11 @@ class TestYoungScore:
 
     def test_witness_replays(self):
         rng = random.Random(23)
+        cases = [(p, c) for p in (CYCLE, SINGLE, OPPOSED) for c in p.candidates]
         for _ in range(25):
             p = random_profile(rng, 4, 7)
-            c = rng.choice(p.candidates)
+            cases.append((p, rng.choice(p.candidates)))
+        for p, c in cases:
             score, kept = young_score_with_subset(p, c)
             assert validate_young_witness(p, c, score, kept)
 
@@ -200,51 +198,28 @@ class TestYoungScore:
 
 class TestDeciders:
     def test_cycle_everybody_wins(self):
-        for c in CYCLE.candidates:
-            assert dodgson_winner(CYCLE, c)
-            assert young_winner(CYCLE, c)
-        assert dodgson_winners(CYCLE) == CYCLE.candidates
-        assert young_winners(CYCLE) == CYCLE.candidates
+        for scheme in (DODGSON, YOUNG):
+            assert scheme.scores(CYCLE) == {"A": 1, "B": 1, "C": 1}
+            assert all(scheme.winner(CYCLE, c) for c in CYCLE.candidates)
+            assert scheme.winners(CYCLE) == CYCLE.candidates
 
     def test_single_voter_unique_winner(self):
-        assert dodgson_winner(SINGLE, "c") and not dodgson_winner(SINGLE, "d")
-        assert young_winner(SINGLE, "c") and not young_winner(SINGLE, "d")
-        assert dodgson_winners(SINGLE) == ("c",)
-        assert young_winners(SINGLE) == ("c",)
+        for scheme in (DODGSON, YOUNG):
+            assert scheme.winner(SINGLE, "c") and not scheme.winner(SINGLE, "d")
+            assert scheme.winners(SINGLE) == ("c",)
 
     def test_ranking(self):
-        assert dodgson_ranking(CYCLE, "A", "B")
-        assert young_ranking(CYCLE, "A", "B")
-        assert dodgson_ranking(SINGLE, "c", "d") and not dodgson_ranking(SINGLE, "d", "c")
-        assert young_ranking(SINGLE, "c", "c")
+        for scheme in (DODGSON, YOUNG):
+            assert scheme.ranking(CYCLE, "A", "B")
+            assert scheme.ranking(SINGLE, "c", "d") and not scheme.ranking(SINGLE, "d", "c")
+            assert scheme.ranking(SINGLE, "c", "c")
 
     def test_unknown_candidates(self):
-        with pytest.raises(ValueError):
-            dodgson_winner(CYCLE, "Z")
-        with pytest.raises(ValueError):
-            young_ranking(CYCLE, "A", "Z")
-
-
-class TestScoreReports:
-    def test_witnesses_revalidate(self):
-        from dodgsonyoung.exact import dodgson_report, young_report
-
-        for p in (CYCLE, SINGLE, OPPOSED):
-            rep = dodgson_report(p, with_witnesses=True)
-            for (c, score), (c2, moves) in zip(rep.scores, rep.witnesses):
-                assert c == c2
-                assert validate_dodgson_witness(p, c, score, moves)
-            rep = young_report(p, with_witnesses=True)
-            for (c, score), (c2, kept) in zip(rep.scores, rep.witnesses):
-                assert c == c2
-                assert validate_young_witness(p, c, score, kept)
-
-    def test_plain_reports_have_no_witnesses(self):
-        from dodgsonyoung.exact import dodgson_report
-
-        rep = dodgson_report(CYCLE)
-        assert rep.witnesses is None
-        assert rep.scores == (("A", 1), ("B", 1), ("C", 1))
+        for scheme in (DODGSON, YOUNG):
+            with pytest.raises(ValueError):
+                scheme.winner(CYCLE, "Z")
+            with pytest.raises(ValueError):
+                scheme.ranking(CYCLE, "A", "Z")
 
 
 class TestReplication:

@@ -4,12 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from dodgsonyoung import (
-    CapExceededError,
+    SCHEMES,
     condorcet_winner,
     dodgson_score,
     dodgson_star_ranking,
     dodgson_star_score,
-    dodgson_star_winner,
     gain_matrix,
     homogeneity_check,
     parse_profile,
@@ -19,13 +18,12 @@ from dodgsonyoung import (
     young_score,
     young_star_ranking,
     young_star_score,
-    young_star_winner,
 )
 from dodgsonyoung.homogeneous import (
+    DODGSON_STAR,
+    YOUNG_STAR,
     dodgson_star_program,
-    dodgson_star_winners,
     young_star_program,
-    young_star_winners,
 )
 from oracles import per_voter_dodgson_star, per_voter_young_star, random_profile
 
@@ -146,23 +144,21 @@ class TestYoungStarScore:
 
 class TestStarDeciders:
     def test_cycle_everyone_wins(self):
-        for c in CYCLE.candidates:
-            assert dodgson_star_winner(CYCLE, c)
-            assert young_star_winner(CYCLE, c)
-        assert dodgson_star_winners(CYCLE) == CYCLE.candidates
-        assert young_star_winners(CYCLE) == CYCLE.candidates
+        for scheme in (DODGSON_STAR, YOUNG_STAR):
+            assert all(scheme.winner(CYCLE, c) for c in CYCLE.candidates)
+            assert scheme.winners(CYCLE) == CYCLE.candidates
 
     def test_strict_condorcet_winner_is_unique_dodgson_star_winner(self):
         p = parse_profile(
             "candidates: w x y\nvoter: w > x > y\nvoter: w > y > x\nvoter: x > w > y\n"
         )
         assert condorcet_winner(p) == "w"
-        assert dodgson_star_winners(p) == ("w",)
+        assert DODGSON_STAR.winners(p) == ("w",)
         assert dodgson_star_score(p, "x") > 0 and dodgson_star_score(p, "y") > 0
 
     def test_ranking_reflexive(self):
-        assert dodgson_star_ranking(CYCLE, "A", "A")
-        assert young_star_ranking(CYCLE, "A", "A")
+        for scheme in (DODGSON_STAR, YOUNG_STAR):
+            assert scheme.ranking(CYCLE, "A", "A")
 
     def test_ranking_follows_scores(self):
         rng = random.Random(59)
@@ -195,8 +191,8 @@ class TestScaleInvariance:
         for _ in range(8):
             p = random_profile(rng, 4, 4)
             for q in (2, 3):
-                assert dodgson_star_winners(replicate(p, q)) == dodgson_star_winners(p)
-                assert young_star_winners(replicate(p, q)) == young_star_winners(p)
+                for scheme in (DODGSON_STAR, YOUNG_STAR):
+                    assert scheme.winners(replicate(p, q)) == scheme.winners(p)
 
 
 class TestProgramSize:
@@ -253,7 +249,7 @@ class TestConvergence:
 
 class TestHomogeneityCheck:
     def test_q_one_is_trivially_true(self):
-        for scheme in ("dodgson", "young", "dodgson-star", "young-star"):
+        for scheme in SCHEMES:
             assert homogeneity_check(scheme, CYCLE, 1)
 
     def test_starred_schemes_on_random_profiles(self):
@@ -268,12 +264,40 @@ class TestHomogeneityCheck:
         assert homogeneity_check("dodgson", CYCLE, 2)
         assert homogeneity_check("young", CYCLE, 2)
 
-    def test_cap_and_validation(self):
-        with pytest.raises(CapExceededError):
-            homogeneity_check("young", CYCLE, 30)
+    def test_exact_schemes_have_no_voter_cap(self):
+        big = replicate(CYCLE, 100)
+        assert homogeneity_check("dodgson", big, 2)
+        assert homogeneity_check("young", big, 2)
+        assert homogeneity_check("young", CYCLE, 30)
+
+    def test_validation(self):
         with pytest.raises(ValueError):
             homogeneity_check("borda", CYCLE, 2)
         with pytest.raises(ValueError):
             homogeneity_check("young", CYCLE, 0)
         with pytest.raises(ValueError):
             winner_set(CYCLE, "nope")
+
+
+class TestSchemeTable:
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_deciders_agree_with_scores(self, name):
+        scheme = SCHEMES[name]
+        assert scheme.name == name
+        rng = random.Random(89)
+        for _ in range(5):
+            p = random_profile(rng, 4, 5)
+            scores = scheme.scores(p)
+            winners = scheme.winners(p)
+            assert winner_set(p, name) == winners
+            for c in p.candidates:
+                assert scheme.winner(p, c) == (c in winners)
+                for d in p.candidates:
+                    better = scheme.better(scores[c], scores[d]) == scores[c]
+                    assert scheme.ranking(p, c, d) == better
+        with pytest.raises(ValueError):
+            scheme.winner(CYCLE, "Z")
+        with pytest.raises(ValueError):
+            scheme.ranking(CYCLE, "Z", "A")
+        with pytest.raises(ValueError):
+            winner_set(CYCLE, name.upper())

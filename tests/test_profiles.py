@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,23 @@ class TestRestrict:
         p = parse_profile("candidates: a b\nvoter 3: a > b\nvoter: b > a")
         sub = restrict(p, {2, 4})
         assert sub.voters == ((("a", "b"), 1), (("b", "a"), 1))
+
+    def test_huge_multiplicity(self):
+        p = parse_profile("candidates: a b\nvoter 99999999999999: a > b\n")
+        assert restrict(p, {1}).voters == ((("a", "b"), 1),)
+        assert restrict(p, {1, 99999999999999}).voters == ((("a", "b"), 2),)
+
+    def test_matches_expanded_reference(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            base = random_profile(rng, 4, 6)
+            p = Profile(base.candidates, tuple((o, rng.randint(1, 4)) for o, _ in base.voters))
+            keep = set(rng.sample(range(1, p.num_voters + 1), rng.randint(0, p.num_voters)))
+            owner = [e for e, (_, mult) in enumerate(p.voters) for _ in range(mult)]
+            kept = Counter(owner[i - 1] for i in keep)
+            sub = restrict(p, keep)
+            assert sub.voters == tuple((p.voters[e][0], kept[e]) for e in sorted(kept))
+            assert sub.expanded() == tuple(o for i, o in enumerate(p.expanded(), 1) if i in keep)
 
 
 class TestProfileValidation:
