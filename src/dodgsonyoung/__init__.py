@@ -41,7 +41,6 @@ from .lp import (
     LinearProgram,
     LPSolution,
     Variable,
-    format_program,
     linear_program,
     solve_ilp,
     solve_lp,
@@ -52,7 +51,6 @@ from .profiles import (
     condorcet_winner,
     parse_profile,
     replicate,
-    restrict,
     serialize_profile,
     tally,
 )

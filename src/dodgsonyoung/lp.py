@@ -58,11 +58,20 @@ class LinearProgram:
             raise ValueError("variable names must be unique")
         if len(self.objective) != len(self.variables):
             raise ValueError("objective length does not match variable count")
+        # Floats would make the answers inexact, also in a program built
+        # without `linear_program`.
+        for var in self.variables:
+            _bound(var.lower)
+            _bound(var.upper)
+        for value in self.objective:
+            frac(value)
         for con in self.constraints:
             if con.relation not in RELATIONS:
                 raise ValueError(f"bad relation {con.relation!r}")
             if len(con.coeffs) != len(self.variables):
                 raise ValueError("constraint length does not match variable count")
+            for value in (*con.coeffs, con.rhs):
+                frac(value)
 
 
 def linear_program(direction, variables, objective, constraints=()) -> LinearProgram:
@@ -100,94 +109,50 @@ class LPSolution:
         return self.assignment[name]
 
 
-def format_program(lp: LinearProgram) -> str:
-    """Human-readable dump for debugging."""
-
-    def term(coeff, name):
-        if coeff == 1:
-            return f"+ {name}"
-        if coeff == -1:
-            return f"- {name}"
-        sign = "-" if coeff < 0 else "+"
-        return f"{sign} {abs(coeff)}*{name}"
-
-    names = [v.name for v in lp.variables]
-    lines = [lp.direction + " " + " ".join(term(c, n) for c, n in zip(lp.objective, names) if c != 0)]
-    for con in lp.constraints:
-        body = " ".join(term(c, n) for c, n in zip(con.coeffs, names) if c != 0) or "0"
-        lines.append(f"  {body} {con.relation} {con.rhs}")
-    for v in lp.variables:
-        lo = "-inf" if v.lower is None else str(v.lower)
-        hi = "+inf" if v.upper is None else str(v.upper)
-        lines.append(f"  {lo} <= {v.name} <= {hi}")
-    return "\n".join(lines) + "\n"
-
-
 class _Standardized:
-    """Shifted/split column form: min c.x over columns with bounds [0, u]."""
+    """Each variable is offset + sum(sign * column), over columns bounded to [0, u].
+
+    With a finite lower bound a variable is lo + col with col <= hi - lo (a
+    fixed variable is a column of width zero), with only an upper bound it is
+    hi - col, and a free variable is col - col'.  Crossed bounds give a
+    column with u < 0, which `solve_lp` reports as infeasible.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.recipes: list[tuple] = []
         self.col_upper: list[Fraction | None] = []
-        self.bound_infeasible = False
+        self.maps: list[tuple[Fraction, tuple[tuple[int, int], ...]]] = []
         for var in lp.variables:
             lo, hi = var.lower, var.upper
-            if lo is not None and hi is not None and hi < lo:
-                self.bound_infeasible = True
-            if lo is not None and hi is not None and hi == lo:
-                self.recipes.append(("const", lo))
-            elif lo is not None:
-                col = self._new_col(None if hi is None else hi - lo)
-                self.recipes.append(("shift", col, lo))
+            if lo is not None:
+                offset, parts = lo, ((1, None if hi is None else hi - lo),)
             elif hi is not None:
-                col = self._new_col(None)
-                self.recipes.append(("flip", col, hi))  # x = hi - col
+                offset, parts = hi, ((-1, None),)
             else:
-                self.recipes.append(("split", self._new_col(None), self._new_col(None)))
-
-    def _new_col(self, upper) -> int:
-        self.col_upper.append(upper)
-        return len(self.col_upper) - 1
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.col_upper)
+                offset, parts = _ZERO, ((1, None), (-1, None))
+            terms = []
+            for sign, upper in parts:
+                terms.append((sign, len(self.col_upper)))
+                self.col_upper.append(upper)
+            self.maps.append((offset, tuple(terms)))
 
     def to_columns(self, coeffs) -> tuple[list[Fraction], Fraction]:
         """Rewrite a row over original variables as (column coefficients, constant)."""
-        cols = [_ZERO] * self.num_cols
+        cols = [_ZERO] * len(self.col_upper)
         const = _ZERO
-        for a, recipe in zip(coeffs, self.recipes):
+        for a, (offset, terms) in zip(coeffs, self.maps):
             if a == 0:
                 continue
-            kind = recipe[0]
-            if kind == "const":
-                const += a * recipe[1]
-            elif kind == "shift":
-                cols[recipe[1]] += a
-                const += a * recipe[2]
-            elif kind == "flip":
-                cols[recipe[1]] -= a
-                const += a * recipe[2]
-            else:
-                cols[recipe[1]] += a
-                cols[recipe[2]] -= a
+            const += a * offset
+            for sign, col in terms:
+                cols[col] += a if sign > 0 else -a
         return cols, const
 
     def assignment_from(self, col_values) -> dict[str, Fraction]:
-        out = {}
-        for var, recipe in zip(self.lp.variables, self.recipes):
-            kind = recipe[0]
-            if kind == "const":
-                out[var.name] = recipe[1]
-            elif kind == "shift":
-                out[var.name] = recipe[2] + col_values[recipe[1]]
-            elif kind == "flip":
-                out[var.name] = recipe[2] - col_values[recipe[1]]
-            else:
-                out[var.name] = col_values[recipe[1]] - col_values[recipe[2]]
-        return out
+        return {
+            var.name: offset + sum(sign * col_values[col] for sign, col in terms)
+            for var, (offset, terms) in zip(self.lp.variables, self.maps)
+        }
 
 
 class _Simplex:
@@ -197,35 +162,26 @@ class _Simplex:
     one); `beta` holds the current value of each basic column.  Bland's rule
     picks the smallest-index eligible entering column and, among the ties of
     the ratio test, the smallest-index leaving variable, which guarantees
-    termination even on degenerate instances.
+    termination even on degenerate instances.  Only columns below `entering`
+    are priced: phase 2 leaves out the artificials.
     """
 
     def __init__(self, rows, rhs, col_upper):
-        # Normalize rhs >= 0 so artificial starts are feasible.
-        self.rows = [list(r) for r in rows]
-        self.rhs = list(rhs)
-        for r in range(len(self.rows)):
-            if self.rhs[r] < 0:
-                self.rows[r] = [-a for a in self.rows[r]]
-                self.rhs[r] = -self.rhs[r]
-        self.upper: list[Fraction | None] = list(col_upper)
-        self.m = len(self.rows)
-        self.struct_cols = len(col_upper)
-        self.basis: list[int] = []
-        self.art_start = self.struct_cols
-        # One artificial column per row (identity block) as the initial basis.
-        for r in range(self.m):
-            for rr in range(self.m):
-                self.rows[rr].append(_ONE if rr == r else _ZERO)
-            self.upper.append(None)
-            self.basis.append(self.struct_cols + r)
-        self.ncols = self.struct_cols + self.m
-        self.beta = list(self.rhs)
+        # Rows with rhs < 0 are negated so that one artificial column per row
+        # (an identity block) is a feasible start basis.
+        self.m = len(rows)
+        self.art_start = len(col_upper)
+        self.ncols = self.entering = self.art_start + self.m
+        self.rows: list[list[Fraction]] = []
+        self.beta: list[Fraction] = []
+        for r, (row, b) in enumerate(zip(rows, rhs)):
+            identity = [_ONE if rr == r else _ZERO for rr in range(self.m)]
+            self.rows.append((row if b >= 0 else [-a for a in row]) + identity)
+            self.beta.append(abs(b))
+        self.upper: list[Fraction | None] = list(col_upper) + [None] * self.m
+        self.basis = list(range(self.art_start, self.ncols))
         self.at_upper = [False] * self.ncols
-        self.in_basis = [False] * self.ncols
-        for col in self.basis:
-            self.in_basis[col] = True
-        self.blocked = [False] * self.ncols
+        self.in_basis = [False] * self.art_start + [True] * self.m
 
     # -- helpers ---------------------------------------------------------
 
@@ -267,8 +223,8 @@ class _Simplex:
         while True:
             enter = -1
             direction = 0
-            for j in range(self.ncols):
-                if self.in_basis[j] or self.blocked[j]:
+            for j in range(self.entering):
+                if self.in_basis[j]:
                     continue
                 zj = z[j]
                 if not self.at_upper[j] and zj < 0:
@@ -327,57 +283,21 @@ class _Simplex:
     # -- phases ----------------------------------------------------------
 
     def phase_one(self) -> bool:
-        if self.m == 0:
-            return True
-        costs = [_ZERO] * self.ncols
-        for col in range(self.art_start, self.ncols):
-            costs[col] = _ONE
-        z = self._reduced_costs(costs)
-        status = self.iterate(z)
-        if status != "optimal":  # pragma: no cover - phase 1 is bounded below
+        z = self._reduced_costs([_ZERO] * self.art_start + [_ONE] * self.m)
+        if self.iterate(z) != "optimal":  # pragma: no cover - phase 1 is bounded below
             raise RuntimeError("internal: phase 1 cannot be unbounded")
-        total = sum(
-            (self.beta[r] for r in range(self.m) if self.basis[r] >= self.art_start),
-            _ZERO,
-        )
-        if total != 0:
+        if any(self.beta[r] for r in range(self.m) if self.basis[r] >= self.art_start):
             return False
-        # Drive artificials out of the basis where possible; rows whose
-        # artificial cannot leave are dependent and stay inert at zero.
-        for r in range(self.m):
-            if self.basis[r] < self.art_start:
-                continue
-            row = self.rows[r]
-            col = next(
-                (j for j in range(self.art_start) if not self.in_basis[j] and row[j] != 0),
-                None,
-            )
-            if col is None:
-                continue
-            art = self.basis[r]
-            self.in_basis[art] = False
-            self.at_upper[art] = False
-            value = self.column_value(col)
-            self.at_upper[col] = False
-            self.in_basis[col] = True
-            self.basis[r] = col
-            self.beta[r] = value
-            dummy = [_ZERO] * self.ncols
-            self._pivot(r, col, dummy)
+        # Artificials are fixed at zero and never priced again.  One still
+        # basic (its row may be dependent) then leaves at the first pivot that
+        # would move it, since the ratio test bounds it above by 0.
         for col in range(self.art_start, self.ncols):
-            self.blocked[col] = True
+            self.upper[col] = _ZERO
+        self.entering = self.art_start
         return True
 
-    def phase_two(self, struct_costs) -> str:
-        costs = list(struct_costs) + [_ZERO] * (self.ncols - len(struct_costs))
-        z = self._reduced_costs(costs)
-        return self.iterate(z)
-
-    def column_values(self) -> list[Fraction]:
-        values = []
-        for col in range(self.struct_cols):
-            values.append(self.column_value(col))
-        return values
+    def phase_two(self, costs) -> str:
+        return self.iterate(self._reduced_costs(costs + [_ZERO] * (self.ncols - len(costs))))
 
 
 def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
@@ -402,54 +322,33 @@ def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve exactly; an optimal solution is re-verified by substitution."""
     std = _Standardized(lp)
-    if std.bound_infeasible:
+    if any(u is not None and u < 0 for u in std.col_upper):
         return LPSolution("infeasible")
-
-    sense = 1 if lp.direction == "min" else -1
-    obj_cols, _ = std.to_columns([sense * c for c in lp.objective])
-
-    if std.num_cols == 0:
-        # All variables fixed by their bounds; just check the constraints.
-        assignment = std.assignment_from([])
-        try:
-            _verify_solution(lp, assignment)
-        except RuntimeError:
-            return LPSolution("infeasible")
-        value = sum(
-            (c * assignment[v.name] for c, v in zip(lp.objective, lp.variables)), _ZERO
-        )
-        return LPSolution("optimal", assignment, value)
-
-    rows = []
-    rhs = []
-    needs_slack = []  # per row: inequality rows get one slack column each
+    # Each inequality row gets a slack column with coefficient +1, after the
+    # structural columns; a '>=' row is negated first.
+    slacks = sum(con.relation != "=" for con in lp.constraints)
+    slack = len(std.col_upper)
+    rows, rhs = [], []
     for con in lp.constraints:
         cols, const = std.to_columns(con.coeffs)
         b = con.rhs - const
-        rel = con.relation
-        if rel == ">=":
-            cols = [-a for a in cols]
-            b = -b
-            rel = "<="
-        rows.append(cols)
+        if con.relation == ">=":
+            cols, b = [-a for a in cols], -b
+        row = cols + [_ZERO] * slacks
+        if con.relation != "=":
+            row[slack] = _ONE
+            slack += 1
+        rows.append(row)
         rhs.append(b)
-        needs_slack.append(rel == "<=")
-    col_upper = list(std.col_upper)
-    for r, slack in enumerate(needs_slack):
-        if not slack:
-            continue
-        col_upper.append(None)
-        for rr in range(len(rows)):
-            rows[rr].append(_ONE if rr == r else _ZERO)
 
-    simplex = _Simplex(rows, rhs, col_upper)
+    simplex = _Simplex(rows, rhs, std.col_upper + [None] * slacks)
     if not simplex.phase_one():
         return LPSolution("infeasible")
-    status = simplex.phase_two(obj_cols + [_ZERO] * (len(col_upper) - len(obj_cols)))
-    if status == "unbounded":
+    sense = 1 if lp.direction == "min" else -1
+    costs, _ = std.to_columns([sense * c for c in lp.objective])
+    if simplex.phase_two(costs) == "unbounded":
         return LPSolution("unbounded")
-    col_values = simplex.column_values()[: std.num_cols]
-    assignment = std.assignment_from(col_values)
+    assignment = std.assignment_from([simplex.column_value(col) for col in range(len(costs))])
     _verify_solution(lp, assignment)
     value = sum((c * assignment[v.name] for c, v in zip(lp.objective, lp.variables)), _ZERO)
     return LPSolution("optimal", assignment, value)

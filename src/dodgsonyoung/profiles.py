@@ -7,9 +7,8 @@ indices 1..n in file order.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import ParseError
 
@@ -27,8 +26,8 @@ class Profile:
     """Candidates plus voters, each voter a (preference order, multiplicity) entry.
 
     Every order must be a permutation of the full candidate set.  A profile
-    with zero voters is permitted only as an intermediate value of
-    :func:`restrict`; the file format requires at least one voter line.
+    built directly may have zero voters; the file format requires at least
+    one voter line.
     """
 
     candidates: tuple[CandidateId, ...]
@@ -206,24 +205,3 @@ def replicate(profile: Profile, q: int) -> Profile:
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"replication factor must be a positive integer, got {q!r}")
     return Profile(profile.candidates, tuple((order, mult * q) for order, mult in profile.voters))
-
-
-def restrict(profile: Profile, keep: Iterable[int]) -> Profile:
-    """The sub-profile containing exactly the expanded voters with indices in `keep`.
-
-    Indices are 1-based in file order.  The result may have zero voters.
-    """
-    keep_set = set(keep)
-    n = profile.num_voters
-    for idx in keep_set:
-        if not isinstance(idx, int) or idx < 1 or idx > n:
-            raise ValueError(f"voter index {idx!r} out of range 1..{n}")
-    ordered = sorted(keep_set)
-    entries = []
-    pos = 0
-    for order, mult in profile.voters:
-        kept = bisect_right(ordered, pos + mult) - bisect_right(ordered, pos)
-        if kept:
-            entries.append((order, kept))
-        pos += mult
-    return Profile(profile.candidates, tuple(entries))

@@ -388,6 +388,7 @@ def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format: 'vertices: ...' then 'edge: u v' lines."""
     vertices: tuple[str, ...] | None = None
     edges: list[tuple[str, str]] = []
+    seen: set[frozenset[str]] = set()
     for lineno, head, rest in payload_lines(text, "vertices", "edge"):
         if vertices is None:
             names = rest.split()
@@ -407,8 +408,10 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"edge ({u!r}, {v!r}) uses an unknown vertex", lineno)
         if u == v:
             raise ParseError(f"loop at {u!r} is not allowed in a simple graph", lineno)
-        if any(frozenset((u, v)) == frozenset(e) for e in edges):
+        edge = frozenset((u, v))
+        if edge in seen:
             raise ParseError(f"duplicate edge ({u!r}, {v!r})", lineno)
+        seen.add(edge)
         edges.append((u, v))
     return graph(vertices, edges)
 

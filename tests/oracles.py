@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 from dodgsonyoung import Graph, Profile, graph, set_family
-from dodgsonyoung.lp import IntegerProgram, LinearProgram, linear_program, solve_lp
+from dodgsonyoung.lp import IntegerProgram, LinearProgram, Variable, linear_program, solve_lp
 
 CANDIDATE_POOL = ("a", "b", "c", "d", "e", "f")
 
@@ -144,6 +144,17 @@ def random_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
         rhs = rng.randint(-8, 8)
         constraints.append((coeffs, rel, rhs))
     return linear_program(rng.choice(("min", "max")), variables, objective, constraints)
+
+
+def random_lp_any_bounds(rng: random.Random, max_vars: int = 4) -> LinearProgram:
+    """`random_lp` with each bound dropped with probability 1/2: variables are
+    boxed (fixed when the box is a point), bounded on one side only, or free."""
+    lp = random_lp(rng, max_vars)
+    variables = tuple(
+        Variable(v.name, rng.choice((v.lower, None)), rng.choice((v.upper, None)))
+        for v in lp.variables
+    )
+    return LinearProgram(lp.direction, variables, lp.objective, lp.constraints)
 
 
 def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:

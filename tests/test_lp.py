@@ -1,17 +1,68 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from dodgsonyoung import SCHEMES, parse_profile
+from dodgsonyoung import lp as lp_module
 from dodgsonyoung.lp import (
+    Constraint,
     IntegerProgram,
-    format_program,
+    LinearProgram,
+    Variable,
     frac,
     linear_program,
     solve_ilp,
     solve_lp,
 )
-from oracles import grid_solve_ilp, random_bounded_ilp, random_lp
+from oracles import grid_solve_ilp, random_bounded_ilp, random_lp, random_lp_any_bounds
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+BEALE = linear_program(
+    "min",
+    [("x1", 0, None), ("x2", 0, None), ("x3", 0, None), ("x4", 0, None)],
+    [F(-3, 4), 150, F(-1, 50), 6],
+    [
+        ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
+        ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
+        ([0, 0, 1, 0], "<=", 1),
+    ],
+)
+
+
+def scipy_linprog(scipy_opt, lp):
+    """HiGHS on the same program as a minimisation: returns (sense, result)."""
+    sense = 1 if lp.direction == "min" else -1
+    c = [sense * float(x) for x in lp.objective]
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in lp.constraints:
+        row = [float(x) for x in con.coeffs]
+        if con.relation == "<=":
+            a_ub.append(row)
+            b_ub.append(float(con.rhs))
+        elif con.relation == ">=":
+            a_ub.append([-x for x in row])
+            b_ub.append(-float(con.rhs))
+        else:
+            a_eq.append(row)
+            b_eq.append(float(con.rhs))
+    bounds = [
+        (None if v.lower is None else float(v.lower), None if v.upper is None else float(v.upper))
+        for v in lp.variables
+    ]
+    res = scipy_opt.linprog(
+        c,
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=bounds,
+        method="highs",
+    )
+    return sense, res
 
 
 def check_feasible(lp, assignment):
@@ -95,20 +146,10 @@ class TestSolveLP:
         assert best == F(1, 2)
 
     def test_beale_cycling_instance_terminates_with_bland(self):
-        lp = linear_program(
-            "min",
-            [("x1", 0, None), ("x2", 0, None), ("x3", 0, None), ("x4", 0, None)],
-            [F(-3, 4), 150, F(-1, 50), 6],
-            [
-                ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
-                ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
-                ([0, 0, 1, 0], "<=", 1),
-            ],
-        )
-        sol = solve_lp(lp)
+        sol = solve_lp(BEALE)
         assert sol.status == "optimal"
         assert sol.objective_value == F(-1, 20)
-        check_feasible(lp, sol.assignment)
+        check_feasible(BEALE, sol.assignment)
 
     def test_random_lps_exact_feasibility(self):
         rng = random.Random(4040)
@@ -128,30 +169,7 @@ class TestSolveLP:
         for _ in range(80):
             lp = random_lp(rng, max_vars=4)
             sol = solve_lp(lp)
-            sense = 1 if lp.direction == "min" else -1
-            c = [sense * float(x) for x in lp.objective]
-            a_ub, b_ub, a_eq, b_eq = [], [], [], []
-            for con in lp.constraints:
-                row = [float(x) for x in con.coeffs]
-                if con.relation == "<=":
-                    a_ub.append(row)
-                    b_ub.append(float(con.rhs))
-                elif con.relation == ">=":
-                    a_ub.append([-x for x in row])
-                    b_ub.append(-float(con.rhs))
-                else:
-                    a_eq.append(row)
-                    b_eq.append(float(con.rhs))
-            bounds = [(float(v.lower), float(v.upper)) for v in lp.variables]
-            res = scipy_opt.linprog(
-                c,
-                A_ub=a_ub or None,
-                b_ub=b_ub or None,
-                A_eq=a_eq or None,
-                b_eq=b_eq or None,
-                bounds=bounds,
-                method="highs",
-            )
+            sense, res = scipy_linprog(scipy_opt, lp)
             if sol.status == "optimal":
                 assert res.status == 0
                 assert abs(sense * res.fun - float(sol.objective_value)) < 1e-7
@@ -159,6 +177,28 @@ class TestSolveLP:
             elif sol.status == "infeasible":
                 assert res.status == 2
         assert checked > 20
+
+    def test_every_variable_kind_against_scipy(self):
+        # Free, lower-only, upper-only, boxed and fixed variables, with
+        # "unbounded" matched to scipy status 3.
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        rng = random.Random(626)
+        statuses = Counter()
+        kinds = set()
+        for _ in range(200):
+            lp = random_lp_any_bounds(rng)
+            kinds.update((v.lower is None, v.upper is None) for v in lp.variables)
+            sol = solve_lp(lp)
+            sense, res = scipy_linprog(scipy_opt, lp)
+            statuses[sol.status] += 1
+            if sol.status == "optimal":
+                assert res.status == 0
+                assert abs(sense * res.fun - float(sol.objective_value)) < 1e-7
+                check_feasible(lp, sol.assignment)
+            else:
+                assert res.status == {"infeasible": 2, "unbounded": 3}[sol.status]
+        assert len(kinds) == 4
+        assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 10
 
 
 class TestSolveILP:
@@ -241,9 +281,48 @@ class TestProgramTypes:
         with pytest.raises(TypeError):
             linear_program("min", [("x", 0, 1)], [0.5], [])
 
-    def test_format_program_dump(self):
-        lp = linear_program(
-            "min", [("x", 0, 1), ("y", None, None)], [1, -2], [([1, 1], "<=", F(5, 2))]
-        )
-        text = format_program(lp)
-        assert "min" in text and "5/2" in text and "-inf" in text
+    def test_floats_rejected_without_linear_program(self):
+        x = Variable("x")
+        programs = [
+            lambda: LinearProgram("max", (x,), (F(1),), (Constraint((F(3),), "<=", 0.1),)),
+            lambda: LinearProgram("max", (x,), (F(1),), (Constraint((0.5,), "<=", F(1)),)),
+            lambda: LinearProgram("max", (x,), (0.5,)),
+            lambda: LinearProgram("max", (Variable("x", F(0), 2.5),), (F(1),)),
+            lambda: LinearProgram("max", (Variable("x", -0.5, None),), (F(1),)),
+        ]
+        for program in programs:
+            with pytest.raises(TypeError):
+                program()
+
+
+class TestPivotCounts:
+    """Pinned `_Simplex._pivot` counts, so that engine changes show up as diffs."""
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        calls = []
+        pivot = lp_module._Simplex._pivot
+
+        def counted(self, *args):
+            calls.append(None)
+            return pivot(self, *args)
+
+        monkeypatch.setattr(lp_module._Simplex, "_pivot", counted)
+
+        def count(solve):
+            calls.clear()
+            solve()
+            return len(calls)
+
+        return count
+
+    def test_beale(self, pivots):
+        assert pivots(lambda: solve_lp(BEALE)) == 6
+
+    @pytest.mark.parametrize(
+        "fixture, expected",
+        [("cycle", [11, 5, 12, 8]), ("young_ranking14", [551, 147, 291, 131])],
+    )
+    def test_scheme_scores_on_fixtures(self, pivots, fixture, expected):
+        profile = parse_profile((FIXTURES / f"{fixture}.elect").read_text())
+        assert [pivots(lambda: scheme.scores(profile)) for scheme in SCHEMES.values()] == expected

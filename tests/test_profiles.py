@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from dodgsonyoung import (
     condorcet_winner,
     parse_profile,
     replicate,
-    restrict,
     serialize_profile,
     tally,
 )
@@ -137,7 +135,7 @@ class TestCondorcetWinner:
         assert condorcet_winner(p) is None
 
     def test_empty_electorate(self):
-        p = restrict(parse_profile(CYCLE), ())
+        p = Profile(parse_profile(CYCLE).candidates, ())
         assert p.num_voters == 0
         assert condorcet_winner(p) is None
 
@@ -171,45 +169,6 @@ class TestReplicate:
     @settings(max_examples=40, deadline=None)
     def test_winner_invariant(self, p, q):
         assert condorcet_winner(replicate(p, q)) == condorcet_winner(p)
-
-
-class TestRestrict:
-    def test_keep_all_is_identity(self):
-        p = parse_profile("candidates: a b\nvoter 2: a > b\nvoter: b > a")
-        assert restrict(p, range(1, 4)) == p
-
-    def test_keep_first_of_cycle(self):
-        p = restrict(parse_profile(CYCLE), {1})
-        assert p.num_voters == 1
-        assert condorcet_winner(p) == "A"
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            restrict(parse_profile(CYCLE), {4})
-        with pytest.raises(ValueError):
-            restrict(parse_profile(CYCLE), {0})
-
-    def test_multiplicity_split(self):
-        p = parse_profile("candidates: a b\nvoter 3: a > b\nvoter: b > a")
-        sub = restrict(p, {2, 4})
-        assert sub.voters == ((("a", "b"), 1), (("b", "a"), 1))
-
-    def test_huge_multiplicity(self):
-        p = parse_profile("candidates: a b\nvoter 99999999999999: a > b\n")
-        assert restrict(p, {1}).voters == ((("a", "b"), 1),)
-        assert restrict(p, {1, 99999999999999}).voters == ((("a", "b"), 2),)
-
-    def test_matches_expanded_reference(self):
-        rng = random.Random(43)
-        for _ in range(60):
-            base = random_profile(rng, 4, 6)
-            p = Profile(base.candidates, tuple((o, rng.randint(1, 4)) for o, _ in base.voters))
-            keep = set(rng.sample(range(1, p.num_voters + 1), rng.randint(0, p.num_voters)))
-            owner = [e for e, (_, mult) in enumerate(p.voters) for _ in range(mult)]
-            kept = Counter(owner[i - 1] for i in keep)
-            sub = restrict(p, keep)
-            assert sub.voters == tuple((p.voters[e][0], kept[e]) for e in sorted(kept))
-            assert sub.expanded() == tuple(o for i, o in enumerate(p.expanded(), 1) if i in keep)
 
 
 class TestProfileValidation:
