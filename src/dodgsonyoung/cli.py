@@ -37,8 +37,19 @@ def emit_report(scores: dict, fmt: str) -> str:
     return "".join(f"{name.ljust(width)}  {value}\n" for name, value in shown.items())
 
 
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _load_profile(path: str) -> Profile:
-    return parse_profile(Path(path).read_text(encoding="utf-8"))
+    return parse_profile(_read(path))
+
+
+def _emit(args, payload, text: str) -> int:
+    """Write ``text``, or under ``--format json`` one line with the JSON of
+    ``payload()``; the payload is built only when it is printed."""
+    sys.stdout.write(json.dumps(payload()) + "\n" if args.format == "json" else text)
+    return 0
 
 
 def _print_bool(value: bool) -> int:
@@ -67,11 +78,7 @@ def _cmd_ranking(args) -> int:
 def _cmd_condorcet(args) -> int:
     profile = _load_profile(args.profile)
     winner = condorcet_winner(profile)
-    if args.format == "json":
-        print(json.dumps({"winner": winner}))
-    else:
-        print(winner if winner is not None else "none")
-    return 0
+    return _emit(args, lambda: {"winner": winner}, f"{winner if winner is not None else 'none'}\n")
 
 
 def _cmd_reduce(args, parser) -> int:
@@ -82,41 +89,34 @@ def _cmd_reduce(args, parser) -> int:
     if from_graphs:
         if args.graph1 is None or args.graph2 is None:
             parser.error("both --graph1 and --graph2 are required")
-        g1 = reductions.parse_graph(Path(args.graph1).read_text(encoding="utf-8"))
-        g2 = reductions.parse_graph(Path(args.graph2).read_text(encoding="utf-8"))
+        g1 = reductions.parse_graph(_read(args.graph1))
+        g2 = reductions.parse_graph(_read(args.graph2))
         inst = reductions.inc_to_mspc(g1, g2)
     else:
         if args.sets1 is None or args.sets2 is None:
             parser.error("both --sets1 and --sets2 are required")
         inst = reductions.MSPCInstance(
-            reductions.parse_set_family(Path(args.sets1).read_text(encoding="utf-8")),
-            reductions.parse_set_family(Path(args.sets2).read_text(encoding="utf-8")),
+            reductions.parse_set_family(_read(args.sets1)),
+            reductions.parse_set_family(_read(args.sets2)),
         )
     if args.emit == "mspc":
-        if args.format == "json":
-            payload = {
-                "base1": list(inst.first.base),
-                "family1": [list(m) for m in inst.first.family],
-                "base2": list(inst.second.base),
-                "family2": [list(m) for m in inst.second.family],
-            }
-            print(json.dumps(payload))
-        else:
-            sys.stdout.write(reductions.serialize_mspc(inst))
-        return 0
-    out = reductions.mspc_to_young_ranking(inst)
-    if args.format == "json":
-        payload = {
-            "c": out.c,
-            "d": out.d,
-            "kappa1": reductions.kappa(inst.first),
-            "kappa2": reductions.kappa(inst.second),
-            "profile": serialize_profile(out.profile),
+        payload = lambda: {
+            "base1": list(inst.first.base),
+            "family1": [list(m) for m in inst.first.family],
+            "base2": list(inst.second.base),
+            "family2": [list(m) for m in inst.second.family],
         }
-        print(json.dumps(payload))
-    else:
-        sys.stdout.write(serialize_profile(out.profile))
-    return 0
+        return _emit(args, payload, reductions.serialize_mspc(inst))
+    out = reductions.mspc_to_young_ranking(inst)
+    text = serialize_profile(out.profile)
+    payload = lambda: {
+        "c": out.c,
+        "d": out.d,
+        "kappa1": reductions.kappa(inst.first),
+        "kappa2": reductions.kappa(inst.second),
+        "profile": text,
+    }
+    return _emit(args, payload, text)
 
 
 def _cmd_amplify(args) -> int:
@@ -124,30 +124,24 @@ def _cmd_amplify(args) -> int:
     amplified = reductions.amplify_for_winner(
         profile, args.candidate, args.other, allow_single_voter=args.allow_single_voter
     )
-    if args.format == "json":
-        print(json.dumps({"profile": serialize_profile(amplified)}))
-    else:
-        sys.stdout.write(serialize_profile(amplified))
-    return 0
+    text = serialize_profile(amplified)
+    return _emit(args, lambda: {"profile": text}, text)
 
 
 def _cmd_verify(args) -> int:
-    g1 = reductions.parse_graph(Path(args.graph1).read_text(encoding="utf-8"))
-    g2 = reductions.parse_graph(Path(args.graph2).read_text(encoding="utf-8"))
+    g1 = reductions.parse_graph(_read(args.graph1))
+    g2 = reductions.parse_graph(_read(args.graph2))
     report = reductions.verify_reduction_chain(g1, g2)
-    if args.format == "json":
-        payload = {
-            "alpha": [report.alpha1, report.alpha2],
-            "kappa": [report.kappa1, report.kappa2],
-            "young": [report.young_c, report.young_d],
-            "equations_hold": report.equations_hold,
-            "ranking": report.ranking_answer,
-            "winner_checked": report.winner_checked,
-            "winner": report.winner_answer,
-            "consistent": report.consistent,
-        }
-        print(json.dumps(payload))
-        return 0
+    payload = lambda: {
+        "alpha": [report.alpha1, report.alpha2],
+        "kappa": [report.kappa1, report.kappa2],
+        "young": [report.young_c, report.young_d],
+        "equations_hold": report.equations_hold,
+        "ranking": report.ranking_answer,
+        "winner_checked": report.winner_checked,
+        "winner": report.winner_answer,
+        "consistent": report.consistent,
+    }
     winner_line = (
         str(report.winner_answer).lower() if report.winner_checked else "skipped (instance too large)"
     )
@@ -160,8 +154,7 @@ def _cmd_verify(args) -> int:
         f"winner(c):    {winner_line}",
         str(report.consistent).lower(),
     ]
-    print("\n".join(lines))
-    return 0
+    return _emit(args, payload, "\n".join(lines) + "\n")
 
 
 def _cmd_convergence(args) -> int:
@@ -182,23 +175,19 @@ def _cmd_convergence(args) -> int:
         score = base_score(replicate(profile, q), args.candidate)
         points.append((q, score, Fraction(score, q)))
     limit = SCHEMES[args.scheme].score(profile, args.candidate)
-    if args.format == "json":
-        payload = {
-            "scheme": args.scheme,
-            "candidate": args.candidate,
-            "points": [
-                {"q": q, "score": score, "ratio": _frac_str(ratio)} for q, score, ratio in points
-            ],
-            "limit": _frac_str(limit),
-        }
-        print(json.dumps(payload))
-        return 0
+    payload = lambda: {
+        "scheme": args.scheme,
+        "candidate": args.candidate,
+        "points": [
+            {"q": q, "score": score, "ratio": _frac_str(ratio)} for q, score, ratio in points
+        ],
+        "limit": _frac_str(limit),
+    }
     lines = ["q      score  score/q"]
     for q, score, ratio in points:
         lines.append(f"{str(q).ljust(6)} {str(score).ljust(6)} {_frac_str(ratio)}")
     lines.append(f"limit         {_frac_str(limit)}")
-    print("\n".join(lines))
-    return 0
+    return _emit(args, payload, "\n".join(lines) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,13 @@ from .lp import IntegerProgram, linear_program, solve_ilp
 from .profiles import CandidateId, PreferenceOrder, Profile, condorcet_winner, tally
 
 
+# Largest profiles the brute-force oracles accept: the swap-graph search
+# (Dodgson) and the subset enumeration (Young).
+SWAP_MAX_VOTERS = 5
+SWAP_MAX_CANDIDATES = 5
+SUBSET_MAX_VOTERS = 22
+
+
 def _require_candidate(profile: Profile, c: CandidateId) -> None:
     if c not in profile.candidates:
         raise ValueError(f"unknown candidate {c!r}")
@@ -206,14 +213,7 @@ def validate_dodgson_witness(profile: Profile, c: CandidateId, score: int, moves
     return sum(j * count for _, j, count in moves) == score and condorcet_winner(replayed) == c
 
 
-def dodgson_score_bruteforce(
-    profile: Profile,
-    c: CandidateId,
-    *,
-    max_voters: int = 5,
-    max_candidates: int = 5,
-    heuristic: bool = True,
-) -> int:
+def dodgson_score_bruteforce(profile: Profile, c: CandidateId, *, heuristic: bool = True) -> int:
     """Shortest-path search over profiles reachable by single adjacent swaps.
 
     Swap moves are applied to every voter and every adjacent pair, so the
@@ -226,9 +226,9 @@ def dodgson_score_bruteforce(
     _require_candidate(profile, c)
     _require_voters(profile)
     n = profile.num_voters
-    if n > max_voters or len(profile.candidates) > max_candidates:
+    if n > SWAP_MAX_VOTERS or len(profile.candidates) > SWAP_MAX_CANDIDATES:
         raise CapExceededError(
-            f"swap search capped at {max_voters} voters / {max_candidates} candidates"
+            f"swap search capped at {SWAP_MAX_VOTERS} voters / {SWAP_MAX_CANDIDATES} candidates"
         )
     thr = majority_threshold(n)
     rivals = tuple(name for name in profile.candidates if name != c)
@@ -311,13 +311,13 @@ def validate_young_witness(profile: Profile, c: CandidateId, score: int, kept) -
     return score == 0 or condorcet_winner(Profile(profile.candidates, tuple(zip(orders, counts)))) == c
 
 
-def young_score_bruteforce(profile: Profile, c: CandidateId, *, max_voters: int = 22) -> int:
+def young_score_bruteforce(profile: Profile, c: CandidateId) -> int:
     """Exhaustive subset enumeration, largest cardinality first."""
     _require_candidate(profile, c)
     _require_voters(profile)
     n = profile.num_voters
-    if n > max_voters:
-        raise CapExceededError(f"subset enumeration capped at {max_voters} voters")
+    if n > SUBSET_MAX_VOTERS:
+        raise CapExceededError(f"subset enumeration capped at {SUBSET_MAX_VOTERS} voters")
     orders = profile.expanded()
     rivals = [name for name in profile.candidates if name != c]
     masks = []

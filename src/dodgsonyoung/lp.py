@@ -190,8 +190,9 @@ class _Simplex:
         for r in range(self.m):
             cb = costs[self.basis[r]]
             if cb != 0:
-                row = self.rows[r]
-                z = [zj - cb * row[j] for j, zj in enumerate(z)]
+                for j, a in enumerate(self.rows[r]):
+                    if a != 0:
+                        z[j] -= cb * a
         return z
 
     def column_value(self, col: int) -> Fraction:

@@ -16,9 +16,39 @@ CandidateId = str
 PreferenceOrder = tuple[CandidateId, ...]
 
 
-def _check_name(name: str, line: int | None = None) -> None:
-    if not name or ">" in name or any(ch.isspace() for ch in name):
-        raise ParseError(f"invalid candidate name {name!r}", line)
+def _check_candidates(names) -> set[CandidateId]:
+    """Check a candidate list and return its set: nonempty, each name a single
+    word without ``>``, no name twice."""
+    if not names:
+        raise ValueError("empty candidate list")
+    seen = set()
+    for name in names:
+        if not name or ">" in name or any(ch.isspace() for ch in name):
+            raise ValueError(f"invalid candidate name {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate candidate {name!r}")
+        seen.add(name)
+    return seen
+
+
+def _check_voter(order, mult, candidates: set[CandidateId], written: str | None = None) -> None:
+    """Check one voter entry: a positive integer multiplicity and an order
+    naming every candidate once.  ``written`` is the order as a file spells
+    it; then a token that is empty or not one word makes the order malformed."""
+    if not isinstance(mult, int) or mult < 1:
+        raise ValueError(f"multiplicity must be positive, got {mult!r}")
+    seen = set()
+    for tok in order:
+        if written is not None and (not tok or len(tok.split()) != 1):
+            raise ValueError(f"malformed preference order {written!r}")
+        if tok not in candidates:
+            raise ValueError(f"unknown candidate {tok!r}")
+        if tok in seen:
+            raise ValueError(f"duplicate candidate {tok!r} in order")
+        seen.add(tok)
+    if len(seen) != len(candidates):
+        missing = sorted(candidates - seen)
+        raise ValueError(f"order omits candidate(s): {' '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -34,19 +64,9 @@ class Profile:
     voters: tuple[tuple[PreferenceOrder, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.candidates:
-            raise ValueError("profile needs at least one candidate")
-        seen = set()
-        for name in self.candidates:
-            _check_name(name)
-            if name in seen:
-                raise ValueError(f"duplicate candidate {name!r}")
-            seen.add(name)
+        candidates = _check_candidates(self.candidates)
         for order, mult in self.voters:
-            if not isinstance(mult, int) or mult < 1:
-                raise ValueError(f"voter multiplicity must be a positive integer, got {mult!r}")
-            if len(order) != len(self.candidates) or set(order) != seen:
-                raise ValueError(f"order {order!r} is not a permutation of the candidate set")
+            _check_voter(order, mult, candidates)
 
     @property
     def num_voters(self) -> int:
@@ -105,6 +125,14 @@ def payload_lines(text: str, first: str, other: str) -> Iterator[tuple[int, str,
         raise ParseError(f"no {first} line")
 
 
+def at_line(lineno: int, check, *args):
+    """``check(*args)``, its ``ValueError`` raised as a ``ParseError`` at ``lineno``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
 def parse_profile(text: str) -> Profile:
     """Parse the line-oriented profile format.
 
@@ -113,19 +141,11 @@ def parse_profile(text: str) -> Profile:
     ``voter[ N]: a > b > c`` with multiplicity N defaulting to 1.
     """
     candidates: tuple[str, ...] | None = None
-    cand_set: set[str] = set()
     voters: list[tuple[PreferenceOrder, int]] = []
     for lineno, head, rest in payload_lines(text, "candidates", "voter"):
         if candidates is None:
-            names = rest.split()
-            if not names:
-                raise ParseError("empty candidate list", lineno)
-            for name in names:
-                _check_name(name, lineno)
-                if name in cand_set:
-                    raise ParseError(f"duplicate candidate {name!r}", lineno)
-                cand_set.add(name)
-            candidates = tuple(names)
+            candidates = tuple(rest.split())
+            cand_set = at_line(lineno, _check_candidates, candidates)
             continue
         words = head.split()
         if not words or words[0] != "voter" or len(words) > 2:
@@ -136,22 +156,9 @@ def parse_profile(text: str) -> Profile:
                 mult = int(words[1])
             except ValueError:
                 raise ParseError(f"bad multiplicity {words[1]!r}", lineno) from None
-            if mult < 1:
-                raise ParseError(f"multiplicity must be positive, got {mult}", lineno)
-        tokens = [tok.strip() for tok in rest.split(">")]
-        order: list[str] = []
-        for tok in tokens:
-            if not tok or len(tok.split()) != 1:
-                raise ParseError(f"malformed preference order {rest!r}", lineno)
-            if tok not in cand_set:
-                raise ParseError(f"unknown candidate {tok!r}", lineno)
-            if tok in order:
-                raise ParseError(f"duplicate candidate {tok!r} in order", lineno)
-            order.append(tok)
-        if len(order) != len(candidates):
-            missing = sorted(cand_set - set(order))
-            raise ParseError(f"order omits candidate(s): {' '.join(missing)}", lineno)
-        voters.append((tuple(order), mult))
+        order = tuple(tok.strip() for tok in rest.split(">"))
+        at_line(lineno, _check_voter, order, mult, cand_set, rest)
+        voters.append((order, mult))
     if not voters:
         raise ParseError("no voter lines")
     return Profile(candidates, tuple(voters))

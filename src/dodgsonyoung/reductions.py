@@ -12,7 +12,49 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, ParseError
 from .exact import validate_young_witness, young_score_bruteforce, young_score_with_subset
-from .profiles import CandidateId, Profile, payload_lines
+from .profiles import CandidateId, Profile, at_line, payload_lines
+
+# Largest vertex count `alpha` and member-set count `kappa` enumerate subsets of.
+SEARCH_CAP = 16
+# `verify_reduction_chain` brute-forces the Young Winner stage only when
+# candidates * 2^voters of the amplified profile stays within this.
+WINNER_WORK_CAP = 4_000_000
+
+
+def _index(names: tuple[str, ...], what: str) -> dict[str, int]:
+    """Position of each name; a name listed twice is a duplicate ``what``."""
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise ValueError(f"duplicate {what}")
+    return index
+
+
+def _check_edge(u: str, v: str, index: dict[str, int], seen: set[frozenset[str]]) -> None:
+    """Check one edge against the vertices and the edges ``seen`` before it, then add it."""
+    if u not in index or v not in index:
+        raise ValueError(f"edge ({u!r}, {v!r}) uses an unknown vertex")
+    if u == v:
+        raise ValueError(f"loop at {u!r} is not allowed in a simple graph")
+    key = frozenset((u, v))
+    if key in seen:
+        raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+    seen.add(key)
+
+
+def _check_member(member: tuple[str, ...], index: dict[str, int]) -> None:
+    """Check one member set: nonempty, no element twice, every element in the ground set."""
+    if not member:
+        raise ValueError("member sets must be nonempty")
+    if len(set(member)) != len(member):
+        raise ValueError(f"duplicate element in member set {member!r}")
+    for e in member:
+        if e not in index:
+            raise ValueError(f"member set element {e!r} is not in the ground set")
+
+
+def _in_base_order(elements, index: dict[str, int]) -> tuple[str, ...]:
+    """Elements sorted by ground-set position, unknown ones first."""
+    return tuple(sorted(elements, key=lambda e: index.get(e, -1)))
 
 
 @dataclass(frozen=True)
@@ -23,25 +65,16 @@ class Graph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex")
-        index = {v: i for i, v in enumerate(self.vertices)}
-        seen = set()
+        index = _index(self.vertices, "vertex")
+        seen: set[frozenset[str]] = set()
         for u, v in self.edges:
-            if u not in index or v not in index:
-                raise ValueError(f"edge ({u!r}, {v!r}) uses an unknown vertex")
-            if u == v:
-                raise ValueError(f"loop at {u!r} is not allowed in a simple graph")
-            key = frozenset((u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add(key)
+            _check_edge(u, v, index, seen)
 
 
 def graph(vertices, edges) -> Graph:
     """Build a Graph, normalizing each edge's endpoints to vertex order."""
     verts = tuple(vertices)
-    index = {v: i for i, v in enumerate(verts)}
+    index = _index(verts, "vertex")
     normalized = []
     for u, v in edges:
         if u in index and v in index and index[u] > index[v]:
@@ -58,25 +91,16 @@ class SetFamilyInstance:
     family: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.base)) != len(self.base):
-            raise ValueError("duplicate ground-set element")
-        index = {e: i for i, e in enumerate(self.base)}
+        index = _index(self.base, "ground-set element")
         for member in self.family:
-            if not member:
-                raise ValueError("member sets must be nonempty")
-            if len(set(member)) != len(member):
-                raise ValueError(f"duplicate element in member set {member!r}")
-            for e in member:
-                if e not in index:
-                    raise ValueError(f"member set element {e!r} is not in the ground set")
+            _check_member(member, index)
 
 
 def set_family(base, family) -> SetFamilyInstance:
     """Build a SetFamilyInstance, sorting each member set by ground-set order."""
     base_t = tuple(base)
-    index = {e: i for i, e in enumerate(base_t)}
-    members = tuple(tuple(sorted(member, key=lambda e: index.get(e, -1))) for member in family)
-    return SetFamilyInstance(base_t, members)
+    index = _index(base_t, "ground-set element")
+    return SetFamilyInstance(base_t, tuple(_in_base_order(member, index) for member in family))
 
 
 @dataclass(frozen=True)
@@ -85,63 +109,47 @@ class MSPCInstance:
     second: SetFamilyInstance
 
 
-def alpha(g: Graph, *, max_vertices: int = 16) -> int:
-    """Independence number by exhaustive search."""
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise CapExceededError(f"independence search capped at {max_vertices} vertices")
-    index = {v: i for i, v in enumerate(g.vertices)}
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
+def _largest_compatible(conflicts: list[int]) -> int:
+    """Size of a largest set of items no two of which conflict, by exhaustive
+    search; bit j of ``conflicts[i]`` is set when items i and j conflict."""
     best = 0
-    for mask in range(1 << n):
+    for mask in range(1 << len(conflicts)):
         if mask.bit_count() <= best:
             continue
         rest = mask
-        ok = True
         while rest:
             low = rest & -rest
-            if adj[low.bit_length() - 1] & mask:
-                ok = False
+            if conflicts[low.bit_length() - 1] & mask:
                 break
             rest ^= low
-        if ok:
+        else:
             best = mask.bit_count()
     return best
 
 
-def kappa(s: SetFamilyInstance, *, max_sets: int = 16) -> int:
-    """Maximum number of pairwise disjoint member sets, by exhaustive search."""
-    f = len(s.family)
-    if f > max_sets:
-        raise CapExceededError(f"set-packing search capped at {max_sets} sets")
+def alpha(g: Graph) -> int:
+    """Independence number: vertices conflict when an edge joins them."""
+    if len(g.vertices) > SEARCH_CAP:
+        raise CapExceededError(f"independence search capped at {SEARCH_CAP} vertices")
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj = [0] * len(g.vertices)
+    for u, v in g.edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    return _largest_compatible(adj)
+
+
+def kappa(s: SetFamilyInstance) -> int:
+    """Maximum number of pairwise disjoint member sets: sets conflict when they intersect."""
+    if len(s.family) > SEARCH_CAP:
+        raise CapExceededError(f"set-packing search capped at {SEARCH_CAP} sets")
     index = {e: i for i, e in enumerate(s.base)}
-    masks = []
-    for member in s.family:
-        m = 0
-        for e in member:
-            m |= 1 << index[e]
-        masks.append(m)
-    best = 0
-    for choice in range(1 << f):
-        if choice.bit_count() <= best:
-            continue
-        union = 0
-        ok = True
-        rest = choice
-        while rest:
-            low = rest & -rest
-            m = masks[low.bit_length() - 1]
-            if union & m:
-                ok = False
-                break
-            union |= m
-            rest ^= low
-        if ok:
-            best = choice.bit_count()
-    return best
+    masks = [sum(1 << index[e] for e in member) for member in s.family]
+    conflicts = [
+        sum(1 << j for j, other in enumerate(masks) if j != i and mask & other)
+        for i, mask in enumerate(masks)
+    ]
+    return _largest_compatible(conflicts)
 
 
 def _incident_edge_family(g: Graph) -> SetFamilyInstance:
@@ -206,40 +214,31 @@ def mspc_to_young_ranking(inst: MSPCInstance) -> YoungReductionOutput:
     k2 = kappa(s2)
     if k1 <= 2 or k2 <= 2:
         raise ValueError(f"maximum packing must exceed 2 on both sides (got {k1} and {k2})")
-    x = {e: f"x{i + 1}" for i, e in enumerate(s1.base)}
-    y = {e: f"y{i + 1}" for i, e in enumerate(s2.base)}
-    b1_vec = tuple(x[e] for e in s1.base)
-    b2_vec = tuple(y[e] for e in s2.base)
-    candidates = ("c", "d", "a", "b") + b1_vec + b2_vec
+    # Forms 4-6 mirror forms 1-3: the second family with the roles of
+    # (c, a) and (d, b) swapped.
+    sides = ((s1, "x", "c", "a"), (s2, "y", "d", "b"))
+    renames = [{e: f"{prefix}{i + 1}" for i, e in enumerate(fam.base)} for fam, prefix, _, _ in sides]
+    candidates = ("c", "d", "a", "b", *renames[0].values(), *renames[1].values())
 
     entries: list[tuple[tuple[str, ...], int]] = []
     form_of: list[int] = []
-    set_voters_first: list[int] = []
-    set_voters_second: list[int] = []
-
-    for member in s1.family:
-        chosen = set(member)
-        e_vec = tuple(x[e] for e in s1.base if e in chosen)
-        e_bar = tuple(x[e] for e in s1.base if e not in chosen)
-        entries.append(((*e_vec, "a", "c", *e_bar, *b2_vec, "b", "d"), 1))
-        set_voters_first.append(len(form_of) + 1)
-        form_of.append(1)
-    entries.append((("c", *b1_vec, "a", *b2_vec, "b", "d"), 2))
-    form_of.extend([2, 2])
-    entries.append(((*b1_vec, "c", "a", *b2_vec, "b", "d"), len(s1.family) - 1))
-    form_of.extend([3] * (len(s1.family) - 1))
-
-    for member in s2.family:
-        chosen = set(member)
-        f_vec = tuple(y[e] for e in s2.base if e in chosen)
-        f_bar = tuple(y[e] for e in s2.base if e not in chosen)
-        entries.append(((*f_vec, "b", "d", *f_bar, *b1_vec, "a", "c"), 1))
-        set_voters_second.append(len(form_of) + 1)
-        form_of.append(4)
-    entries.append((("d", *b2_vec, "b", *b1_vec, "a", "c"), 2))
-    form_of.extend([5, 5])
-    entries.append(((*b2_vec, "d", "b", *b1_vec, "a", "c"), len(s2.family) - 1))
-    form_of.extend([6] * (len(s2.family) - 1))
+    set_voters: tuple[list[int], list[int]] = ([], [])
+    for side, (fam, _, top, mid) in enumerate(sides):
+        rename = renames[side]
+        own = tuple(rename.values())
+        _, _, other_top, other_mid = sides[1 - side]
+        tail = (*renames[1 - side].values(), other_mid, other_top)
+        form = 3 * side + 1
+        for member in fam.family:
+            chosen = set(member)
+            inside = tuple(rename[e] for e in fam.base if e in chosen)
+            outside = tuple(rename[e] for e in fam.base if e not in chosen)
+            entries.append(((*inside, mid, top, *outside, *tail), 1))
+            set_voters[side].append(len(form_of) + 1)
+            form_of.append(form)
+        entries.append(((top, *own, mid, *tail), 2))
+        entries.append(((*own, top, mid, *tail), len(fam.family) - 1))
+        form_of.extend([form + 1] * 2 + [form + 2] * (len(fam.family) - 1))
 
     profile = Profile(candidates, tuple(entries))
     return YoungReductionOutput(
@@ -248,10 +247,10 @@ def mspc_to_young_ranking(inst: MSPCInstance) -> YoungReductionOutput:
         d="d",
         a="a",
         b="b",
-        first_elements=tuple((e, x[e]) for e in s1.base),
-        second_elements=tuple((e, y[e]) for e in s2.base),
-        set_voters_first=tuple(set_voters_first),
-        set_voters_second=tuple(set_voters_second),
+        first_elements=tuple(renames[0].items()),
+        second_elements=tuple(renames[1].items()),
+        set_voters_first=tuple(set_voters[0]),
+        set_voters_second=tuple(set_voters[1]),
         form_of_voter=tuple(form_of),
     )
 
@@ -325,11 +324,11 @@ class ChainReport:
     consistent: bool
 
 
-def verify_reduction_chain(g1: Graph, g2: Graph, *, winner_work_cap: int = 4_000_000) -> ChainReport:
+def verify_reduction_chain(g1: Graph, g2: Graph) -> ChainReport:
     """Run every stage of the chain and report whether all answers agree.
 
     The Young Winner stage on the amplified profile is brute-forced only when
-    candidates * 2^voters stays within `winner_work_cap`; otherwise it is
+    candidates * 2^voters stays within `WINNER_WORK_CAP`; otherwise it is
     skipped and reported as unchecked.
     """
     a1 = alpha(g1)
@@ -351,7 +350,7 @@ def verify_reduction_chain(g1: Graph, g2: Graph, *, winner_work_cap: int = 4_000
 
     amplified = amplify_for_winner(red.profile, red.c, red.d)
     work = len(amplified.candidates) * (1 << amplified.num_voters)
-    winner_checked = work <= winner_work_cap
+    winner_checked = work <= WINNER_WORK_CAP
     winner_answer = None
     if winner_checked:
         all_scores = young_scores_bruteforce_all(amplified)
@@ -391,12 +390,10 @@ def parse_graph(text: str) -> Graph:
     seen: set[frozenset[str]] = set()
     for lineno, head, rest in payload_lines(text, "vertices", "edge"):
         if vertices is None:
-            names = rest.split()
-            if not names:
+            vertices = tuple(rest.split())
+            if not vertices:
                 raise ParseError("empty vertex list", lineno)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate vertex", lineno)
-            vertices = tuple(names)
+            index = at_line(lineno, _index, vertices, "vertex")
             continue
         if head != "edge":
             raise ParseError(f"expected 'edge:' line, got {head!r}", lineno)
@@ -404,14 +401,7 @@ def parse_graph(text: str) -> Graph:
         if len(endpoints) != 2:
             raise ParseError(f"edge needs exactly two endpoints, got {rest!r}", lineno)
         u, v = endpoints
-        if u not in vertices or v not in vertices:
-            raise ParseError(f"edge ({u!r}, {v!r}) uses an unknown vertex", lineno)
-        if u == v:
-            raise ParseError(f"loop at {u!r} is not allowed in a simple graph", lineno)
-        edge = frozenset((u, v))
-        if edge in seen:
-            raise ParseError(f"duplicate edge ({u!r}, {v!r})", lineno)
-        seen.add(edge)
+        at_line(lineno, _check_edge, u, v, index, seen)
         edges.append((u, v))
     return graph(vertices, edges)
 
@@ -422,20 +412,16 @@ def parse_set_family(text: str) -> SetFamilyInstance:
     family: list[tuple[str, ...]] = []
     for lineno, head, rest in payload_lines(text, "base", "set"):
         if base is None:
-            names = rest.split()
-            if not names:
+            base = tuple(rest.split())
+            if not base:
                 raise ParseError("empty ground set", lineno)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate ground-set element", lineno)
-            base = tuple(names)
+            index = at_line(lineno, _index, base, "ground-set element")
             continue
         if head != "set":
             raise ParseError(f"expected 'set:' line, got {head!r}", lineno)
-        elements = rest.split()
-        try:
-            family.append(tuple(set_family(base, [elements]).family[0]))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+        member = _in_base_order(rest.split(), index)
+        at_line(lineno, _check_member, member, index)
+        family.append(member)
     return SetFamilyInstance(base, tuple(family))
 
 

@@ -22,7 +22,7 @@ from dodgsonyoung import (
     young_score_with_subset,
     young_star_score,
 )
-from dodgsonyoung.exact import DODGSON, YOUNG, apply_moves, young_rows
+from dodgsonyoung.exact import DODGSON, SUBSET_MAX_VOTERS, YOUNG, apply_moves, young_rows
 from dodgsonyoung.lp import linear_program, solve_lp
 from oracles import random_profile
 
@@ -172,9 +172,9 @@ class TestYoungScore:
             assert validate_young_witness(p, c, score, kept)
 
     def test_bruteforce_cap(self):
-        p = random_profile(random.Random(3), 3, 5)
+        p = Profile(("a", "b"), ((("a", "b"), SUBSET_MAX_VOTERS + 1),))
         with pytest.raises(CapExceededError):
-            young_score_bruteforce(p, p.candidates[0], max_voters=4)
+            young_score_bruteforce(p, "a")
 
     def test_ilp_equals_bruteforce_random_n16(self):
         rng = random.Random(29)

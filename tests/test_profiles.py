@@ -51,6 +51,11 @@ class TestParse:
             ("candidates: a a\nvoter: a > a", "duplicate", 1),
             ("voter: a > b", "candidates", 1),
             ("candidates: a b\nvoter: a >> b", "malformed", 2),
+            # one line breaking two rules: the rule checked first wins
+            ("candidates: a b\nvoter 0: a >> b", "multiplicity must be positive, got 0", 2),
+            ("candidates: a b\nvoter: x > > a", "unknown candidate 'x'", 2),
+            ("candidates: a b\nvoter: a > a > x", "duplicate candidate 'a' in order", 2),
+            ("candidates: a a>b\nvoter: a > b", "invalid candidate name 'a>b'", 1),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment, line):

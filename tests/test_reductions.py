@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -308,10 +309,11 @@ class TestGraphParsing:
             ("vertices: a a\nedge: a a", "duplicate"),
             ("edge: a b", "vertices"),
             ("vertices: a b\nedge: a", "two endpoints"),
+            ("vertices: a b\nedge: x x", "line 2: edge ('x', 'x') uses an unknown vertex"),
         ],
     )
     def test_errors(self, text, fragment):
-        with pytest.raises(ParseError, match=fragment):
+        with pytest.raises(ParseError, match=re.escape(fragment)):
             parse_graph(text)
 
 
@@ -333,11 +335,20 @@ class TestSetFamilyParsing:
             ("base: x1 x1\nset: x1", "duplicate"),
             ("set: x1", "base"),
             ("base: x1\nset: x1 x1", "duplicate"),
+            (
+                "base: x1 x2\nset: x2 x1 x2",
+                "line 2: duplicate element in member set ('x1', 'x2', 'x2')",
+            ),
         ],
     )
     def test_errors(self, text, fragment):
-        with pytest.raises(ParseError, match=fragment):
+        with pytest.raises(ParseError, match=re.escape(fragment)):
             parse_set_family(text)
+
+    def test_one_line_per_element_of_a_large_base(self):
+        base = [f"e{i}" for i in range(20_000)]
+        text = "base: " + " ".join(base) + "\n" + "".join(f"set: {e}\n" for e in reversed(base))
+        assert parse_set_family(text) == set_family(base, [[e] for e in reversed(base)])
 
     def test_serialize_mspc_contains_both_families(self):
         text = serialize_mspc(MSPCInstance(SINGLETONS_1, SINGLETONS_2))
