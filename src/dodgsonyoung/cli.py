@@ -112,8 +112,8 @@ def _cmd_reduce(args, parser) -> int:
     payload = lambda: {
         "c": out.c,
         "d": out.d,
-        "kappa1": reductions.kappa(inst.first),
-        "kappa2": reductions.kappa(inst.second),
+        "kappa1": out.kappa1,
+        "kappa2": out.kappa2,
         "profile": text,
     }
     return _emit(args, payload, text)

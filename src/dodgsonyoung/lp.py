@@ -4,6 +4,8 @@ Primal simplex with Bland's pivoting rule on a bounded-variable standard
 form, plus a depth-first branch-and-bound wrapper for integer programs.
 Every coefficient is a Fraction, so feasibility and optimality hold exactly;
 there is no tolerance anywhere.  Floats are rejected at construction time.
+Simplex rows are sparse: each holds only its nonzero entries, and the
+artificial start basis is one entry per row.
 """
 from __future__ import annotations
 
@@ -136,16 +138,16 @@ class _Standardized:
                 self.col_upper.append(upper)
             self.maps.append((offset, tuple(terms)))
 
-    def to_columns(self, coeffs) -> tuple[list[Fraction], Fraction]:
-        """Rewrite a row over original variables as (column coefficients, constant)."""
-        cols = [_ZERO] * len(self.col_upper)
+    def to_columns(self, coeffs) -> tuple[dict[int, Fraction], Fraction]:
+        """Rewrite a row over original variables as (nonzero column coefficients, constant)."""
+        cols = {}
         const = _ZERO
         for a, (offset, terms) in zip(coeffs, self.maps):
             if a == 0:
                 continue
             const += a * offset
             for sign, col in terms:
-                cols[col] += a if sign > 0 else -a
+                cols[col] = a if sign > 0 else -a
         return cols, const
 
     def assignment_from(self, col_values) -> dict[str, Fraction]:
@@ -158,25 +160,29 @@ class _Standardized:
 class _Simplex:
     """Bounded-variable primal simplex on equality rows with columns in [0, u].
 
-    Nonbasic columns sit at one of their bounds (`at_upper` flags the upper
-    one); `beta` holds the current value of each basic column.  Bland's rule
-    picks the smallest-index eligible entering column and, among the ties of
-    the ratio test, the smallest-index leaving variable, which guarantees
-    termination even on degenerate instances.  Only columns below `entering`
-    are priced: phase 2 leaves out the artificials.
+    Each row is a dict of its nonzero entries, column -> coefficient; a pivot
+    touches only the rows that hold the entering column and, in them, only
+    the pivot row's nonzero columns.  Nonbasic columns sit at one of their
+    bounds (`at_upper` flags the upper one); `beta` holds the current value
+    of each basic column.  Bland's rule picks the smallest-index eligible
+    entering column and, among the ties of the ratio test, the smallest-index
+    leaving variable, which guarantees termination even on degenerate
+    instances.  Only columns below `entering` are priced: phase 2 leaves out
+    the artificials.
     """
 
     def __init__(self, rows, rhs, col_upper):
-        # Rows with rhs < 0 are negated so that one artificial column per row
-        # (an identity block) is a feasible start basis.
+        # Rows with rhs < 0 are negated so that one artificial column per row,
+        # a single entry 1 in that row, is a feasible start basis.
         self.m = len(rows)
         self.art_start = len(col_upper)
         self.ncols = self.entering = self.art_start + self.m
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[dict[int, Fraction]] = []
         self.beta: list[Fraction] = []
         for r, (row, b) in enumerate(zip(rows, rhs)):
-            identity = [_ONE if rr == r else _ZERO for rr in range(self.m)]
-            self.rows.append((row if b >= 0 else [-a for a in row]) + identity)
+            row = dict(row) if b >= 0 else {j: -a for j, a in row.items()}
+            row[self.art_start + r] = _ONE
+            self.rows.append(row)
             self.beta.append(abs(b))
         self.upper: list[Fraction | None] = list(col_upper) + [None] * self.m
         self.basis = list(range(self.art_start, self.ncols))
@@ -185,14 +191,15 @@ class _Simplex:
 
     # -- helpers ---------------------------------------------------------
 
-    def _reduced_costs(self, costs) -> list[Fraction]:
-        z = list(costs)
+    def _reduced_costs(self, costs: dict[int, Fraction]) -> list[Fraction]:
+        z = [_ZERO] * self.ncols
+        for j, c in costs.items():
+            z[j] = c
         for r in range(self.m):
-            cb = costs[self.basis[r]]
+            cb = costs.get(self.basis[r], 0)
             if cb != 0:
-                for j, a in enumerate(self.rows[r]):
-                    if a != 0:
-                        z[j] -= cb * a
+                for j, a in self.rows[r].items():
+                    z[j] -= cb * a
         return z
 
     def column_value(self, col: int) -> Fraction:
@@ -206,17 +213,22 @@ class _Simplex:
         row = self.rows[r]
         piv = row[col]
         if piv != 1:
-            row = [a / piv for a in row]
+            row = {j: a / piv for j, a in row.items()}
             self.rows[r] = row
-        for rr in range(self.m):
-            if rr == r:
+        for rr, other in enumerate(self.rows):
+            f = other.get(col)
+            if f is None or rr == r:
                 continue
-            f = self.rows[rr][col]
-            if f != 0:
-                self.rows[rr] = [a - f * b for a, b in zip(self.rows[rr], row)]
+            for j, b in row.items():
+                a = other.get(j, _ZERO) - f * b
+                if a:
+                    other[j] = a
+                else:
+                    del other[j]  # the entry cancelled
         f = z[col]
         if f != 0:
-            z[:] = [a - f * b for a, b in zip(z, row)]
+            for j, b in row.items():
+                z[j] -= f * b
 
     # -- core loop -------------------------------------------------------
 
@@ -236,7 +248,7 @@ class _Simplex:
                     break
             if enter < 0:
                 return "optimal"
-            column = [self.rows[r][enter] for r in range(self.m)]
+            column = [row.get(enter, 0) for row in self.rows]
             best_t = None
             best_var = -1
             best_row = -1
@@ -284,7 +296,7 @@ class _Simplex:
     # -- phases ----------------------------------------------------------
 
     def phase_one(self) -> bool:
-        z = self._reduced_costs([_ZERO] * self.art_start + [_ONE] * self.m)
+        z = self._reduced_costs(dict.fromkeys(range(self.art_start, self.ncols), _ONE))
         if self.iterate(z) != "optimal":  # pragma: no cover - phase 1 is bounded below
             raise RuntimeError("internal: phase 1 cannot be unbounded")
         if any(self.beta[r] for r in range(self.m) if self.basis[r] >= self.art_start):
@@ -297,8 +309,8 @@ class _Simplex:
         self.entering = self.art_start
         return True
 
-    def phase_two(self, costs) -> str:
-        return self.iterate(self._reduced_costs(costs + [_ZERO] * (self.ncols - len(costs))))
+    def phase_two(self, costs: dict[int, Fraction]) -> str:
+        return self.iterate(self._reduced_costs(costs))
 
 
 def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
@@ -327,29 +339,28 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         return LPSolution("infeasible")
     # Each inequality row gets a slack column with coefficient +1, after the
     # structural columns; a '>=' row is negated first.
-    slacks = sum(con.relation != "=" for con in lp.constraints)
-    slack = len(std.col_upper)
+    structural = len(std.col_upper)
+    slack = structural
     rows, rhs = [], []
     for con in lp.constraints:
-        cols, const = std.to_columns(con.coeffs)
+        row, const = std.to_columns(con.coeffs)
         b = con.rhs - const
         if con.relation == ">=":
-            cols, b = [-a for a in cols], -b
-        row = cols + [_ZERO] * slacks
+            row, b = {j: -a for j, a in row.items()}, -b
         if con.relation != "=":
             row[slack] = _ONE
             slack += 1
         rows.append(row)
         rhs.append(b)
 
-    simplex = _Simplex(rows, rhs, std.col_upper + [None] * slacks)
+    simplex = _Simplex(rows, rhs, std.col_upper + [None] * (slack - structural))
     if not simplex.phase_one():
         return LPSolution("infeasible")
     sense = 1 if lp.direction == "min" else -1
     costs, _ = std.to_columns([sense * c for c in lp.objective])
     if simplex.phase_two(costs) == "unbounded":
         return LPSolution("unbounded")
-    assignment = std.assignment_from([simplex.column_value(col) for col in range(len(costs))])
+    assignment = std.assignment_from([simplex.column_value(col) for col in range(structural)])
     _verify_solution(lp, assignment)
     value = sum((c * assignment[v.name] for c, v in zip(lp.objective, lp.variables)), _ZERO)
     return LPSolution("optimal", assignment, value)

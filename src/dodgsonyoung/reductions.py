@@ -184,7 +184,9 @@ class YoungReductionOutput:
 
     ``form_of_voter[i-1]`` gives the shape (1..6) of expanded voter i;
     ``set_voters_first[t]`` is the voter index representing the t-th member
-    set of the first family (``set_voters_second`` likewise).
+    set of the first family (``set_voters_second`` likewise).  ``kappa1`` and
+    ``kappa2`` are the families' maximum packings, so Young(c) = 2*kappa1+1
+    and Young(d) = 2*kappa2+1.
     """
 
     profile: Profile
@@ -197,6 +199,8 @@ class YoungReductionOutput:
     set_voters_first: tuple[int, ...]
     set_voters_second: tuple[int, ...]
     form_of_voter: tuple[int, ...]
+    kappa1: int
+    kappa2: int
 
 
 def mspc_to_young_ranking(inst: MSPCInstance) -> YoungReductionOutput:
@@ -252,6 +256,8 @@ def mspc_to_young_ranking(inst: MSPCInstance) -> YoungReductionOutput:
         set_voters_first=tuple(set_voters[0]),
         set_voters_second=tuple(set_voters[1]),
         form_of_voter=tuple(form_of),
+        kappa1=k1,
+        kappa2=k2,
     )
 
 
@@ -333,10 +339,8 @@ def verify_reduction_chain(g1: Graph, g2: Graph) -> ChainReport:
     """
     a1 = alpha(g1)
     a2 = alpha(g2)
-    inst = inc_to_mspc(g1, g2)
-    k1 = kappa(inst.first)
-    k2 = kappa(inst.second)
-    red = mspc_to_young_ranking(inst)
+    red = mspc_to_young_ranking(inc_to_mspc(g1, g2))
+    k1, k2 = red.kappa1, red.kappa2
     yc, wit_c = young_score_with_subset(red.profile, red.c)
     yd, wit_d = young_score_with_subset(red.profile, red.d)
     if not validate_young_witness(red.profile, red.c, yc, wit_c):  # pragma: no cover

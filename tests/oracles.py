@@ -9,6 +9,7 @@ from dodgsonyoung import Graph, Profile, graph, set_family
 from dodgsonyoung.lp import IntegerProgram, LinearProgram, Variable, linear_program, solve_lp
 
 CANDIDATE_POOL = ("a", "b", "c", "d", "e", "f")
+INF = float("inf")
 
 
 def random_profile(rng: random.Random, max_candidates: int, max_voters: int,
@@ -155,6 +156,64 @@ def random_lp_any_bounds(rng: random.Random, max_vars: int = 4) -> LinearProgram
         for v in lp.variables
     )
     return LinearProgram(lp.direction, variables, lp.objective, lp.constraints)
+
+
+def _float_program(lp: LinearProgram):
+    """lp as a float minimisation: (sense, costs, bounds, rows of (coeffs, low, high))."""
+    sense = 1 if lp.direction == "min" else -1
+    costs = [sense * float(x) for x in lp.objective]
+    bounds = [
+        (None if v.lower is None else float(v.lower), None if v.upper is None else float(v.upper))
+        for v in lp.variables
+    ]
+    rows = []
+    for con in lp.constraints:
+        rhs = float(con.rhs)
+        low, high = {"<=": (-INF, rhs), ">=": (rhs, INF), "=": (rhs, rhs)}[con.relation]
+        rows.append(([float(x) for x in con.coeffs], low, high))
+    return sense, costs, bounds, rows
+
+
+def scipy_linprog(scipy_opt, lp: LinearProgram):
+    """HiGHS on the same program as a minimisation: returns (sense, result)."""
+    sense, costs, bounds, rows = _float_program(lp)
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for coeffs, low, high in rows:
+        if low == high:
+            a_eq.append(coeffs)
+            b_eq.append(low)
+        elif high < INF:
+            a_ub.append(coeffs)
+            b_ub.append(high)
+        else:
+            a_ub.append([-x for x in coeffs])
+            b_ub.append(-low)
+    res = scipy_opt.linprog(
+        costs,
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=bounds,
+        method="highs",
+    )
+    return sense, res
+
+
+def scipy_milp(scipy_opt, lp: LinearProgram):
+    """HiGHS branch and cut on the same program with every variable integral:
+    returns (sense, result)."""
+    sense, costs, bounds, rows = _float_program(lp)
+    box = scipy_opt.Bounds(
+        [-INF if low is None else low for low, _ in bounds],
+        [INF if high is None else high for _, high in bounds],
+    )
+    constraints = None
+    if rows:
+        coeffs, lows, highs = zip(*rows)
+        constraints = scipy_opt.LinearConstraint(list(coeffs), list(lows), list(highs))
+    res = scipy_opt.milp(costs, integrality=[1] * len(costs), bounds=box, constraints=constraints)
+    return sense, res
 
 
 def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dodgsonyoung import reductions
 from dodgsonyoung.cli import emit_report, run
 from oracles import parse_frac
 
@@ -62,6 +63,24 @@ def test_huge_multiplicity_line_answers_at_once(tmp_path, capsys):
     for argv, expected in cases:
         assert run(argv + ["--profile", str(huge)]) == 0
         assert capsys.readouterr().out == expected
+
+
+def test_kappa_is_computed_once_per_family(monkeypatch, capsys):
+    calls = []
+    kappa = reductions.kappa
+
+    def counted(family):
+        calls.append(family)
+        return kappa(family)
+
+    monkeypatch.setattr(reductions, "kappa", counted)
+    for argv in (
+        ["verify", "--graph1", "star3.graph", "--graph2", "star4.graph", "--format", "json"],
+        ["reduce", "--sets1", "fam3.sets", "--sets2", "fam3b.sets", "--format", "json"],
+    ):
+        calls.clear()
+        assert run(_expand(argv)) == 0
+        assert len(calls) == 2, argv
 
 
 class TestExitCodes:

@@ -22,9 +22,16 @@ from dodgsonyoung import (
     young_score_with_subset,
     young_star_score,
 )
-from dodgsonyoung.exact import DODGSON, SUBSET_MAX_VOTERS, YOUNG, apply_moves, young_rows
+from dodgsonyoung.exact import (
+    DODGSON,
+    SUBSET_MAX_VOTERS,
+    YOUNG,
+    apply_moves,
+    dodgson_rows,
+    young_rows,
+)
 from dodgsonyoung.lp import linear_program, solve_lp
-from oracles import random_profile
+from oracles import random_profile, scipy_linprog, scipy_milp
 
 CYCLE = parse_profile("candidates: A B C\nvoter: A > B > C\nvoter: B > C > A\nvoter: C > A > B\n")
 SINGLE = parse_profile("candidates: c d e\nvoter: c > d > e\n")
@@ -300,3 +307,44 @@ class TestNoVoterExpansion:
                 young_star_score(p, c)
             for scheme in ("dodgson", "young", "dodgson-star", "young-star"):
                 winner_set(p, scheme)
+
+
+class TestScoresAgainstScipy:
+    """HiGHS as an independent oracle above the brute-force caps: the exact
+    scores are the rounded `milp` optima of the strict-threshold programs,
+    and the starred scores the `linprog` optima of the weak-threshold ones."""
+
+    def test_seeded_profiles(self):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        rng = random.Random(8080)
+        young_infeasible = 0
+        for i in range(15):
+            k = 3 + i % 5
+            candidates = tuple("abcdefg"[:k])
+            entries = tuple(
+                (tuple(rng.sample(candidates, k)), rng.randint(1, 3))
+                for _ in range(rng.randint(5, 20))
+            )
+            p = Profile(candidates, entries)
+            for c in candidates:
+                exact = linear_program("min", *dodgson_rows(p, c, weak=False))
+                relaxed = linear_program("min", *dodgson_rows(p, c, weak=True))
+                if not exact.variables:  # c heads every order
+                    assert dodgson_score(p, c) == dodgson_star_score(p, c) == 0
+                else:
+                    _, res = scipy_milp(scipy_opt, exact)
+                    assert res.status == 0 and dodgson_score(p, c) == round(res.fun)
+                    _, res = scipy_linprog(scipy_opt, relaxed)
+                    assert res.status == 0
+                    assert abs(float(dodgson_star_score(p, c)) - res.fun) < 1e-6
+
+                sense, res = scipy_milp(scipy_opt, linear_program("max", *young_rows(p, c, weak=False)))
+                if res.status == 2:
+                    young_infeasible += 1
+                    assert young_score(p, c) == 0
+                else:
+                    assert res.status == 0 and young_score(p, c) == round(sense * res.fun)
+                sense, res = scipy_linprog(scipy_opt, linear_program("max", *young_rows(p, c, weak=True)))
+                assert res.status == 0
+                assert abs(float(young_star_score(p, c)) - sense * res.fun) < 1e-6
+        assert young_infeasible > 0

@@ -1,11 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from dodgsonyoung import SCHEMES, parse_profile
+from dodgsonyoung import SCHEMES, Profile, parse_profile
 from dodgsonyoung import lp as lp_module
 from dodgsonyoung.lp import (
     Constraint,
@@ -17,7 +18,13 @@ from dodgsonyoung.lp import (
     solve_ilp,
     solve_lp,
 )
-from oracles import grid_solve_ilp, random_bounded_ilp, random_lp, random_lp_any_bounds
+from oracles import (
+    grid_solve_ilp,
+    random_bounded_ilp,
+    random_lp,
+    random_lp_any_bounds,
+    scipy_linprog,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,38 +38,6 @@ BEALE = linear_program(
         ([0, 0, 1, 0], "<=", 1),
     ],
 )
-
-
-def scipy_linprog(scipy_opt, lp):
-    """HiGHS on the same program as a minimisation: returns (sense, result)."""
-    sense = 1 if lp.direction == "min" else -1
-    c = [sense * float(x) for x in lp.objective]
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for con in lp.constraints:
-        row = [float(x) for x in con.coeffs]
-        if con.relation == "<=":
-            a_ub.append(row)
-            b_ub.append(float(con.rhs))
-        elif con.relation == ">=":
-            a_ub.append([-x for x in row])
-            b_ub.append(-float(con.rhs))
-        else:
-            a_eq.append(row)
-            b_eq.append(float(con.rhs))
-    bounds = [
-        (None if v.lower is None else float(v.lower), None if v.upper is None else float(v.upper))
-        for v in lp.variables
-    ]
-    res = scipy_opt.linprog(
-        c,
-        A_ub=a_ub or None,
-        b_ub=b_ub or None,
-        A_eq=a_eq or None,
-        b_eq=b_eq or None,
-        bounds=bounds,
-        method="highs",
-    )
-    return sense, res
 
 
 def check_feasible(lp, assignment):
@@ -326,3 +301,17 @@ class TestPivotCounts:
     def test_scheme_scores_on_fixtures(self, pivots, fixture, expected):
         profile = parse_profile((FIXTURES / f"{fixture}.elect").read_text())
         assert [pivots(lambda: scheme.scores(profile)) for scheme in SCHEMES.values()] == expected
+
+    def test_scheme_scores_on_impartial_culture_grid(self, pivots):
+        # The ic-distinct benchmark cells, seed 0: every order distinct.
+        rng = random.Random(0)
+        profiles = []
+        for k, n in ((4, 15), (4, 23), (5, 15), (5, 31), (6, 15), (6, 31)):
+            candidates = tuple("abcdef"[:k])
+            orders = rng.sample(list(permutations(candidates)), n)
+            profiles.append(Profile(candidates, tuple((order, 1) for order in orders)))
+        totals = {
+            name: sum(pivots(lambda: scheme.scores(p)) for p in profiles)
+            for name, scheme in SCHEMES.items()
+        }
+        assert totals == {"dodgson": 1413, "young": 781, "dodgson-star": 1334, "young-star": 816}
