@@ -8,7 +8,6 @@ from independence-number comparison down to Young Winner.
 
 from .errors import CapExceededError, ParseError
 from .exact import (
-    DodgsonMoveEncoding,
     Scheme,
     dodgson_ranking,
     dodgson_score,

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Every verb is a thin wrapper around the library.  Results go to stdout;
-domain errors (missing files, malformed input, unknown candidates, oracle
-caps) exit with code 1 and a message on stderr; usage errors exit with 2.
-Decision verbs print lowercase true/false and exit 0 for both answers.
+Every verb is a thin wrapper around the library.  Results go to stdout
+through one path, ``_emit``, which honours ``--format`` on every verb;
+rationals appear as p/q strings in both formats.  Domain errors (missing
+files, malformed input, unknown candidates, caps) exit with code 1 and a
+message on stderr; usage errors exit with 2.  Decision verbs print
+lowercase true/false (text and JSON alike) and exit 0 for both answers.
 """
 from __future__ import annotations
 
@@ -26,17 +28,6 @@ def _score_repr(value):
     return _frac_str(value) if isinstance(value, Fraction) else value
 
 
-def emit_report(scores: dict, fmt: str) -> str:
-    """Render ``{candidate: score}``; rationals appear as p/q strings in both formats."""
-    shown = {name: _score_repr(score) for name, score in scores.items()}
-    if fmt == "json":
-        return json.dumps(shown) + "\n"
-    if len(shown) == 1:
-        return f"{next(iter(shown.values()))}\n"
-    width = max(map(len, shown))
-    return "".join(f"{name.ljust(width)}  {value}\n" for name, value in shown.items())
-
-
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -52,27 +43,28 @@ def _emit(args, payload, text: str) -> int:
     return 0
 
 
-def _print_bool(value: bool) -> int:
-    print("true" if value else "false")
-    return 0
-
-
 def _cmd_score(args) -> int:
     profile = _load_profile(args.profile)
     score = SCHEMES[args.scheme].score
-    selected = args.candidate or profile.candidates
-    sys.stdout.write(emit_report({c: score(profile, c) for c in selected}, args.format))
-    return 0
+    shown = {c: _score_repr(score(profile, c)) for c in args.candidate or profile.candidates}
+    if len(shown) == 1:
+        text = f"{next(iter(shown.values()))}\n"
+    else:
+        width = max(map(len, shown))
+        text = "".join(f"{name.ljust(width)}  {value}\n" for name, value in shown.items())
+    return _emit(args, lambda: shown, text)
 
 
 def _cmd_winner(args) -> int:
     profile = _load_profile(args.profile)
-    return _print_bool(SCHEMES[args.scheme].winner(profile, args.candidate))
+    answer = SCHEMES[args.scheme].winner(profile, args.candidate)
+    return _emit(args, lambda: answer, f"{str(answer).lower()}\n")
 
 
 def _cmd_ranking(args) -> int:
     profile = _load_profile(args.profile)
-    return _print_bool(SCHEMES[args.scheme].ranking(profile, args.candidate, args.other))
+    answer = SCHEMES[args.scheme].ranking(profile, args.candidate, args.other)
+    return _emit(args, lambda: answer, f"{str(answer).lower()}\n")
 
 
 def _cmd_condorcet(args) -> int:

@@ -46,32 +46,6 @@ def majority_threshold(n: int) -> int:
     return n // 2 + 1
 
 
-@dataclass(frozen=True)
-class DodgsonMoveEncoding:
-    """Lift effects for a designated candidate, one row per distinct order.
-
-    ``orders[g]`` is the g-th distinct order (by first appearance in file
-    order) and ``counts[g]`` the number of voters holding it.
-    ``passed[g][j-1]`` is the set of rivals overtaken when the candidate is
-    lifted j positions in that order; it grows monotonically with j.
-    ``baseline[k]`` counts voters already preferring the candidate over
-    rival k.  :func:`dodgson_rows` reads it to build the one grouped lift
-    program: its ILP at the strict threshold gives the Dodgson score, and
-    its LP relaxation at the weak threshold gives the Dodgson* score.
-    """
-
-    candidate: CandidateId
-    rivals: tuple[CandidateId, ...]
-    total: int
-    orders: tuple[PreferenceOrder, ...]
-    counts: tuple[int, ...]
-    passed: tuple[tuple[frozenset[CandidateId], ...], ...]
-    baseline: dict[CandidateId, int]
-
-    def gains(self, group: int, lift: int) -> frozenset[CandidateId]:
-        return self.passed[group][lift - 1]
-
-
 def _order_counts(profile: Profile) -> dict[PreferenceOrder, int]:
     """Voters per distinct order, keyed in order of first appearance."""
     counts: dict[PreferenceOrder, int] = {}
@@ -94,20 +68,20 @@ def _take(profile: Profile, picks):
     return [groups[g][0] for g, _ in picks], [(o, n) for (o, _), n in zip(groups, left) if n]
 
 
-def gain_matrix(profile: Profile, c: CandidateId) -> DodgsonMoveEncoding:
+def gain_matrix(profile: Profile, c: CandidateId):
+    """Lift table for c: one ``(order, count, passed)`` entry per distinct order,
+    by first appearance, where ``passed[j-1]`` is the set of rivals c overtakes
+    when lifted j positions (it grows with j); plus ``baseline[k]``, the voters
+    already preferring c over rival k, in candidate order."""
     _require_candidate(profile, c)
     _require_voters(profile)
     t = tally(profile)
-    rivals = tuple(name for name in profile.candidates if name != c)
-    counts = _order_counts(profile)
-    passed = []
-    for order in counts:
+    table = []
+    for order, count in _order_counts(profile).items():
         idx = order.index(c)
-        passed.append(tuple(frozenset(order[idx - j : idx]) for j in range(1, idx + 1)))
-    baseline = {k: t.count(c, k) for k in rivals}
-    return DodgsonMoveEncoding(
-        c, rivals, profile.num_voters, tuple(counts), tuple(counts.values()), tuple(passed), baseline
-    )
+        passed = tuple(frozenset(order[idx - j : idx]) for j in range(1, idx + 1))
+        table.append((order, count, passed))
+    return table, {k: t.count(c, k) for k in profile.candidates if k != c}
 
 
 def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
@@ -120,20 +94,20 @@ def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
     of the exact score) or, when ``weak``, ``n/2`` (its closure, whose LP
     value is the starred score).
     """
-    enc = gain_matrix(profile, c)
-    thr = Fraction(enc.total, 2) if weak else majority_threshold(enc.total)
-    meta = [(g, j) for g, lifts in enumerate(enc.passed) for j in range(1, len(lifts) + 1)]
-    variables = [(f"m[{g},{j}]", 0, enc.counts[g]) for g, j in meta]
-    objective = [j for _, j in meta]
-    constraints = []
-    for g, count in enumerate(enc.counts):
-        coeffs = [1 if h == g else 0 for h, _ in meta]
-        if any(coeffs):
-            constraints.append((coeffs, "<=", count))
-    for k in enc.rivals:
-        need = thr - enc.baseline[k]
-        if need > 0:
-            constraints.append(([1 if k in enc.gains(g, j) else 0 for g, j in meta], ">=", need))
+    table, baseline = gain_matrix(profile, c)
+    n = profile.num_voters
+    thr = Fraction(n, 2) if weak else majority_threshold(n)
+    cols = [(g, j, gains) for g, entry in enumerate(table) for j, gains in enumerate(entry[2], 1)]
+    variables = [(f"m[{g},{j}]", 0, table[g][1]) for g, j, _ in cols]
+    objective = [j for _, j, _ in cols]
+    constraints = [
+        ([1 if h == g else 0 for h, _, _ in cols], "<=", count)
+        for g, (_, count, passed) in enumerate(table)
+        if passed
+    ]
+    for k, have in baseline.items():
+        if thr > have:
+            constraints.append(([1 if k in gains else 0 for _, _, gains in cols], ">=", thr - have))
     return variables, objective, constraints
 
 

@@ -19,6 +19,8 @@ SEARCH_CAP = 16
 # `verify_reduction_chain` brute-forces the Young Winner stage only when
 # candidates * 2^voters of the amplified profile stays within this.
 WINNER_WORK_CAP = 4_000_000
+# Largest amplified profile `amplify_for_winner` builds, in voters * candidates.
+AMPLIFY_CAP = 2_000_000
 
 
 def _index(names: tuple[str, ...], what: str) -> dict[str, int]:
@@ -286,6 +288,9 @@ def amplify_for_winner(
     others = [g for g in profile.candidates if g not in (c, d)]
     if not others:
         return profile
+    size = n * (2 + len(others) * n)
+    if size > AMPLIFY_CAP:
+        raise CapExceededError(f"amplify capped at {AMPLIFY_CAP} voters x candidates, got {size}")
     new_candidates: list[str] = []
     for g in profile.candidates:
         if g in (c, d):

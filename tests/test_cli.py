@@ -2,13 +2,12 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from dodgsonyoung import reductions
-from dodgsonyoung.cli import emit_report, run
+from dodgsonyoung.cli import run
 from oracles import parse_frac
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -135,27 +134,66 @@ class TestExitCodes:
 
 
 class TestEmitReport:
-    REPORT = {"A": F(2), "B": F(2), "C": F(2)}
+    """The score report, as every verb prints it, through ``run``."""
 
-    def test_json_renders_rationals_as_strings(self):
-        assert emit_report(self.REPORT, "json") == '{"A": "2/1", "B": "2/1", "C": "2/1"}\n'
+    @staticmethod
+    def score(capsys, *argv):
+        assert run(["score", "--profile", str(FIXTURES / "cycle.elect"), *argv]) == 0
+        return capsys.readouterr().out
 
-    def test_text_json_value_identity(self):
-        text = emit_report(self.REPORT, "text")
-        data = json.loads(emit_report(self.REPORT, "json"))
-        parsed_text = {}
-        for line in text.splitlines():
-            name, value = line.split()
-            parsed_text[name] = parse_frac(value)
-        assert parsed_text == {name: parse_frac(v) for name, v in data.items()}
+    def test_json_renders_rationals_as_strings(self, capsys):
+        # Young* of every cycle candidate is the integral rational 2
+        out = self.score(capsys, "--scheme", "young-star", "--format", "json")
+        assert out == '{"A": "2/1", "B": "2/1", "C": "2/1"}\n'
 
-    def test_single_candidate_prints_bare_value(self):
-        assert emit_report({"c": 7}, "text") == "7\n"
+    def test_text_json_value_identity(self, capsys):
+        for scheme in ("dodgson", "young", "dodgson-star", "young-star"):
+            text = self.score(capsys, "--scheme", scheme)
+            data = json.loads(self.score(capsys, "--scheme", scheme, "--format", "json"))
+            parsed_text = {}
+            for line in text.splitlines():
+                name, value = line.split()
+                parsed_text[name] = parse_frac(value)
+            assert parsed_text == {name: parse_frac(str(v)) for name, v in data.items()}
+
+    def test_single_candidate_prints_bare_value(self, capsys):
+        assert self.score(capsys, "--scheme", "dodgson", "--candidate", "A") == "1\n"
+        assert self.score(capsys, "--scheme", "dodgson-star", "--candidate", "A") == "1/2\n"
+        out = self.score(capsys, "--scheme", "dodgson", "--candidate", "A", "--format", "json")
+        assert out == '{"A": 1}\n'
 
     def test_full_report_without_filter(self, capsys):
         assert run(["score", "--scheme", "young", "--profile", str(FIXTURES / "cycle.elect")]) == 0
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.splitlines()] == ["A", "B", "C"]
+
+
+@pytest.mark.parametrize("scheme", ["dodgson", "young", "dodgson-star", "young-star"])
+def test_decision_verbs_print_json_booleans(scheme, capsys):
+    # not in GOLDEN_CASES, which the cli-chain benchmark workload replays
+    cycle = str(FIXTURES / "cycle.elect")
+    single = str(FIXTURES / "single.elect")
+    for argv in (
+        ["winner", "--profile", cycle, "--candidate", "A"],
+        ["winner", "--profile", single, "--candidate", "d"],
+        ["ranking", "--profile", cycle, "--candidate", "A", "--other", "B"],
+        ["ranking", "--profile", single, "--candidate", "e", "--other", "c"],
+    ):
+        assert run(argv + ["--scheme", scheme]) == 0
+        text = capsys.readouterr().out
+        assert text in ("true\n", "false\n")
+        assert run(argv + ["--scheme", scheme, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) is (text == "true\n")
+
+
+def test_amplify_refuses_a_huge_electorate(tmp_path, capsys):
+    # a third candidate makes amplify rotate it through 10^14 voters
+    huge = tmp_path / "huge3.elect"
+    huge.write_text("candidates: a b c\nvoter 99999999999999: a > b > c\n")
+    assert run(["amplify", "--profile", str(huge), "--candidate", "a", "--other", "b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: amplify capped at")
 
 
 def test_module_entry_point_runs():

@@ -51,21 +51,22 @@ def lift_simulation(order, c, j):
 class TestGainMatrix:
     def test_one_swap_passes_the_rival(self):
         p = parse_profile("candidates: a b\nvoter: b > a")
-        enc = gain_matrix(p, "a")
-        assert enc.gains(0, 1) == frozenset({"b"})
-        assert enc.baseline == {"b": 0}
+        table, baseline = gain_matrix(p, "a")
+        assert table == [(("b", "a"), 1, (frozenset({"b"}),))]
+        assert baseline == {"b": 0}
 
     def test_top_ranked_candidate_has_empty_lift_range(self):
         p = parse_profile("candidates: a b\nvoter: a > b")
-        enc = gain_matrix(p, "a")
-        assert enc.passed[0] == ()
-        assert enc.baseline == {"b": 1}
+        table, baseline = gain_matrix(p, "a")
+        assert table[0][2] == ()
+        assert baseline == {"b": 1}
 
     def test_cycle_voter_gains(self):
-        enc = gain_matrix(CYCLE, "A")
+        table, _ = gain_matrix(CYCLE, "A")
         # voter 2 is B > C > A
-        assert enc.gains(1, 1) == frozenset({"C"})
-        assert enc.gains(1, 2) == frozenset({"B", "C"})
+        order, count, passed = table[1]
+        assert (order, count) == (("B", "C", "A"), 1)
+        assert passed == (frozenset({"C"}), frozenset({"B", "C"}))
 
     def test_unknown_candidate(self):
         with pytest.raises(ValueError):
@@ -76,17 +77,20 @@ class TestGainMatrix:
         for _ in range(40):
             p = random_profile(rng, 4, 4)
             c = rng.choice(p.candidates)
-            enc = gain_matrix(p, c)
-            assert sorted(zip(enc.orders, enc.counts)) == sorted(Counter(p.expanded()).items())
-            for g, order in enumerate(enc.orders):
-                for j in range(1, order.index(c) + 1):
-                    assert enc.gains(g, j) == lift_simulation(order, c, j)
+            table, _ = gain_matrix(p, c)
+            assert sorted((order, count) for order, count, _ in table) == sorted(
+                Counter(p.expanded()).items()
+            )
+            for order, _, passed in table:
+                assert passed == tuple(
+                    lift_simulation(order, c, j) for j in range(1, order.index(c) + 1)
+                )
 
     def test_monotone_in_lift_distance(self):
-        enc = gain_matrix(CYCLE, "B")
-        for row in enc.passed:
-            for j in range(1, len(row)):
-                assert row[j - 1] <= row[j]
+        table, _ = gain_matrix(CYCLE, "B")
+        for _, _, passed in table:
+            for j in range(1, len(passed)):
+                assert passed[j - 1] <= passed[j]
 
 
 class TestDodgsonScore:

@@ -40,11 +40,11 @@ def is_weak_condorcet(profile, c):
 class TestDodgsonStarProgram:
     def test_structure_matches_move_encoding(self):
         prog = dodgson_star_program(CYCLE, "A")
-        enc = gain_matrix(CYCLE, "A")
+        table, _ = gain_matrix(CYCLE, "A")
         # one column per (distinct order, lift), bounded by the order's multiplicity
         names = [v.name for v in prog.variables]
         assert names == [
-            f"m[{g},{j}]" for g, lifts in enumerate(enc.passed) for j in range(1, len(lifts) + 1)
+            f"m[{g},{j}]" for g, entry in enumerate(table) for j in range(1, len(entry[2]) + 1)
         ]
         assert names == ["m[1,1]", "m[1,2]", "m[2,1]"]
         assert list(prog.objective) == [1, 2, 1]
