@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import reductions
-from .errors import CapExceededError, ParseError
+from .errors import CapExceededError
 from .homogeneous import SCHEMES
 from .profiles import Profile, condorcet_winner, parse_profile, replicate, serialize_profile
 
@@ -183,77 +183,52 @@ def _cmd_convergence(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each option is declared once, in a holder parser that the verbs list
+    as ``parents``; an option is declared again only where its meaning
+    differs.  Holders are listed in the order the usage line shows them."""
+
+    def option(*flags, **kwargs) -> argparse.ArgumentParser:
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*flags, **kwargs)
+        return holder
+
+    scheme = option("--scheme", choices=SCHEMES, required=True)
+    profile = option("--profile", required=True)
+    candidate = option("--candidate", required=True)
+    other = option("--other", required=True)
+    fmt = option("--format", choices=("text", "json"), default="text")
+
     parser = argparse.ArgumentParser(
         prog="dodgsonyoung",
         description="Exact and homogeneous Dodgson/Young election scoring.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def verb(name, func, help, *options) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[*options, fmt])
+        p.set_defaults(func=func)
+        return p
 
-    p_score = sub.add_parser("score", help="score candidates under a scheme")
-    p_score.add_argument("--scheme", choices=SCHEMES, required=True)
-    p_score.add_argument("--profile", required=True)
-    p_score.add_argument("--candidate", action="append")
-    add_format(p_score)
-    p_score.set_defaults(func=_cmd_score)
-
-    p_winner = sub.add_parser("winner", help="is the candidate a winner? prints true/false")
-    p_winner.add_argument("--scheme", choices=SCHEMES, required=True)
-    p_winner.add_argument("--profile", required=True)
-    p_winner.add_argument("--candidate", required=True)
-    add_format(p_winner)
-    p_winner.set_defaults(func=_cmd_winner)
-
-    p_rank = sub.add_parser("ranking", help="does candidate tie-or-defeat other? true/false")
-    p_rank.add_argument("--scheme", choices=SCHEMES, required=True)
-    p_rank.add_argument("--profile", required=True)
-    p_rank.add_argument("--candidate", required=True)
-    p_rank.add_argument("--other", required=True)
-    add_format(p_rank)
-    p_rank.set_defaults(func=_cmd_ranking)
-
-    p_cond = sub.add_parser("condorcet", help="print the Condorcet winner or 'none'")
-    p_cond.add_argument("--profile", required=True)
-    add_format(p_cond)
-    p_cond.set_defaults(func=_cmd_condorcet)
-
-    p_reduce = sub.add_parser(
-        "reduce", help="build a Young Ranking instance from graphs or set families"
+    verb("score", _cmd_score, "score candidates under a scheme",
+         scheme, profile, option("--candidate", action="append"))
+    verb("winner", _cmd_winner, "is the candidate a winner? prints true/false",
+         scheme, profile, candidate)
+    verb("ranking", _cmd_ranking, "does candidate tie-or-defeat other? true/false",
+         scheme, profile, candidate, other)
+    verb("condorcet", _cmd_condorcet, "print the Condorcet winner or 'none'", profile)
+    p_reduce = verb(
+        "reduce", lambda args: _cmd_reduce(args, p_reduce),
+        "build a Young Ranking instance from graphs or set families",
+        *map(option, ("--graph1", "--graph2", "--sets1", "--sets2")),
+        option("--emit", choices=("profile", "mspc"), default="profile"),
     )
-    p_reduce.add_argument("--graph1")
-    p_reduce.add_argument("--graph2")
-    p_reduce.add_argument("--sets1")
-    p_reduce.add_argument("--sets2")
-    p_reduce.add_argument("--emit", choices=("profile", "mspc"), default="profile")
-    add_format(p_reduce)
-    p_reduce.set_defaults(func=lambda args: _cmd_reduce(args, parser))
-
-    p_amp = sub.add_parser("amplify", help="rotate non-designated candidates per voter")
-    p_amp.add_argument("--profile", required=True)
-    p_amp.add_argument("--candidate", required=True)
-    p_amp.add_argument("--other", required=True)
-    p_amp.add_argument("--allow-single-voter", action="store_true")
-    add_format(p_amp)
-    p_amp.set_defaults(func=_cmd_amplify)
-
-    p_verify = sub.add_parser("verify", help="run the whole reduction chain; prints true/false")
-    p_verify.add_argument("--graph1", required=True)
-    p_verify.add_argument("--graph2", required=True)
-    add_format(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_conv = sub.add_parser(
-        "convergence", help="table of score(qV)/q against the starred LP value"
-    )
-    p_conv.add_argument("--scheme", choices=("dodgson-star", "young-star"), required=True)
-    p_conv.add_argument("--profile", required=True)
-    p_conv.add_argument("--candidate", required=True)
-    p_conv.add_argument("--q", default="1,2,4,8,16")
-    add_format(p_conv)
-    p_conv.set_defaults(func=_cmd_convergence)
-
+    verb("amplify", _cmd_amplify, "rotate non-designated candidates per voter",
+         profile, candidate, other, option("--allow-single-voter", action="store_true"))
+    verb("verify", _cmd_verify, "run the whole reduction chain; prints true/false",
+         option("--graph1", required=True), option("--graph2", required=True))
+    verb("convergence", _cmd_convergence, "table of score(qV)/q against the starred LP value",
+         option("--scheme", choices=("dodgson-star", "young-star"), required=True),
+         profile, candidate, option("--q", default="1,2,4,8,16"))
     return parser
 
 
@@ -262,7 +237,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CapExceededError, ValueError, OSError) as exc:
+    except (CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -380,14 +380,14 @@ def solve_ilp(ip: IntegerProgram) -> LPSolution:
 
     Branches on the fractional integral variable whose value has the largest
     denominator (ties to the smallest index), explores the nearer integer
-    side first, and prunes against the best incumbent.  When the objective is
+    side first, and prunes against the best incumbent.  Bounds and
+    incumbents are compared as ``sense * value`` (``sense`` is -1 for
+    ``max``), so smaller is better in both directions.  When the objective is
     supported on integral variables with integer coefficients, relaxation
     bounds are rounded before pruning.
     """
-    maximize = ip.base.direction == "max"
     lp = ip.base
-    if maximize:
-        lp = LinearProgram("min", lp.variables, tuple(-c for c in lp.objective), lp.constraints)
+    sense = 1 if lp.direction == "min" else -1
     int_idx = [i for i, v in enumerate(lp.variables) if v.name in ip.integral]
     int_set = set(int_idx)
     can_round = all(
@@ -395,8 +395,7 @@ def solve_ilp(ip: IntegerProgram) -> LPSolution:
         for i in range(len(lp.variables))
     )
 
-    best_value: Fraction | None = None
-    best_assignment: dict[str, Fraction] | None = None
+    best: LPSolution | None = None
     stack: list[dict[int, tuple[Fraction, Fraction]]] = [{}]
     while stack:
         overrides = stack.pop()
@@ -405,10 +404,9 @@ def solve_ilp(ip: IntegerProgram) -> LPSolution:
             continue
         if sol.status == "unbounded":
             return LPSolution("unbounded")
-        value = sol.objective_value
-        if best_value is not None:
-            bound = Fraction(math.ceil(value)) if can_round else value
-            if bound >= best_value:
+        if best is not None:
+            bound = sense * sol.objective_value
+            if (math.ceil(bound) if can_round else bound) >= sense * best.objective_value:
                 continue
         fractional = [
             (i, sol.assignment[lp.variables[i].name])
@@ -416,8 +414,7 @@ def solve_ilp(ip: IntegerProgram) -> LPSolution:
             if sol.assignment[lp.variables[i].name].denominator != 1
         ]
         if not fractional:
-            best_value = value
-            best_assignment = sol.assignment
+            best = sol
             continue
         idx, val = max(fractional, key=lambda item: (item[1].denominator, -item[0]))
         var = lp.variables[idx]
@@ -433,8 +430,4 @@ def solve_ilp(ip: IntegerProgram) -> LPSolution:
         else:
             stack.append(down)
             stack.append(up)
-    if best_value is None:
-        return LPSolution("infeasible")
-    if maximize:
-        best_value = -best_value
-    return LPSolution("optimal", best_assignment, best_value)
+    return best if best is not None else LPSolution("infeasible")

@@ -263,6 +263,11 @@ def mspc_to_young_ranking(inst: MSPCInstance) -> YoungReductionOutput:
     )
 
 
+def _amplified_candidates(k: int, n: int) -> int:
+    """Candidates after amplifying k candidates over n voters: c, d and n copies of each other."""
+    return 2 + (k - 2) * n
+
+
 def amplify_for_winner(
     profile: Profile, c: CandidateId, d: CandidateId, *, allow_single_voter: bool = False
 ) -> Profile:
@@ -288,7 +293,7 @@ def amplify_for_winner(
     others = [g for g in profile.candidates if g not in (c, d)]
     if not others:
         return profile
-    size = n * (2 + len(others) * n)
+    size = n * _amplified_candidates(len(profile.candidates), n)
     if size > AMPLIFY_CAP:
         raise CapExceededError(f"amplify capped at {AMPLIFY_CAP} voters x candidates, got {size}")
     new_candidates: list[str] = []
@@ -340,7 +345,9 @@ def verify_reduction_chain(g1: Graph, g2: Graph) -> ChainReport:
 
     The Young Winner stage on the amplified profile is brute-forced only when
     candidates * 2^voters stays within `WINNER_WORK_CAP`; otherwise it is
-    skipped and reported as unchecked.
+    skipped and reported as unchecked.  It is sized before anything is built,
+    and no graph pair fits: two 3-stars, the smallest, give 146 amplified
+    candidates and 18 voters, and 146 * 2^18 > 4M.
     """
     a1 = alpha(g1)
     a2 = alpha(g2)
@@ -357,12 +364,12 @@ def verify_reduction_chain(g1: Graph, g2: Graph) -> ChainReport:
     kappa_compare = k1 >= k2
     ranking_answer = yc >= yd
 
-    amplified = amplify_for_winner(red.profile, red.c, red.d)
-    work = len(amplified.candidates) * (1 << amplified.num_voters)
+    n = red.profile.num_voters
+    work = _amplified_candidates(len(red.profile.candidates), n) << n
     winner_checked = work <= WINNER_WORK_CAP
     winner_answer = None
     if winner_checked:
-        all_scores = young_scores_bruteforce_all(amplified)
+        all_scores = young_scores_bruteforce_all(amplify_for_winner(red.profile, red.c, red.d))
         winner_answer = all_scores[red.c] >= max(all_scores.values())
 
     consistent = (

@@ -115,6 +115,31 @@ class TestExitCodes:
             run(["reduce", "--graph1", "a", "--sets1", "b"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--graph1", "a", "--sets1", "b"], "give either --graph1/--graph2 or --sets1/--sets2"),
+            (["--graph1", "g"], "both --graph1 and --graph2 are required"),
+            (["--sets1", "s"], "both --sets1 and --sets2 are required"),
+        ],
+    )
+    def test_reduce_pair_errors_show_reduce_usage(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["reduce", *argv])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: dodgsonyoung reduce")
+        assert stderr.endswith(f"\ndodgsonyoung reduce: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "q,message",
+        [("1,x", "bad replication factor 'x'"), ("0", "replication factors must be positive, got 0")],
+    )
+    def test_bad_replication_factors(self, q, message, capsys):
+        assert run(["convergence", "--scheme", "young-star", "--profile",
+                    str(FIXTURES / "cycle.elect"), "--candidate", "A", "--q", q]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_false_answers_still_exit_zero(self, capsys):
         code = run(["winner", "--scheme", "young", "--profile", str(FIXTURES / "single.elect"),
                     "--candidate", "d"])

@@ -207,6 +207,12 @@ class TestYoungScore:
                 assert score == 0
 
 
+@pytest.mark.parametrize("score", [dodgson_score, young_score])
+def test_scores_reject_an_empty_electorate(score):
+    with pytest.raises(ValueError, match="scores are undefined on an empty electorate"):
+        score(Profile(("a", "b"), ()), "a")
+
+
 class TestDeciders:
     def test_cycle_everybody_wins(self):
         for scheme in (DODGSON, YOUNG):

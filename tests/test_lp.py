@@ -238,6 +238,21 @@ class TestSolveILP:
         assert sol["y"] == F(1, 4)
         assert sol.objective_value == F(29, 4)
 
+    def test_branch_and_bound_keeps_the_sense(self, monkeypatch):
+        # every node relaxation is the given maximisation, not a negated copy
+        nodes = []
+
+        def recorded(lp):
+            nodes.append(lp.direction)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(lp_module, "solve_lp", recorded)
+        lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [3, 2],
+                            [([2, 2], "<=", 9), ([2, -2], "<=", 3)])
+        sol = solve_ilp(IntegerProgram(lp, frozenset({"x", "y"})))
+        assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
+        assert len(nodes) > 1 and set(nodes) == {"max"}
+
 
 class TestProgramTypes:
     def test_validation(self):
@@ -249,6 +264,8 @@ class TestProgramTypes:
             linear_program("min", [("x", 0, 1)], [1, 2], [])
         with pytest.raises(ValueError):
             linear_program("min", [("x", 0, 1)], [1], [([1], "<", 0)])
+        with pytest.raises(ValueError, match="constraint length does not match variable count"):
+            linear_program("min", [("x", 0, 1), ("y", 0, 1)], [1, 1], [([1], "<=", 1)])
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):

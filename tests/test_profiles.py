@@ -56,6 +56,8 @@ class TestParse:
             ("candidates: a b\nvoter: x > > a", "unknown candidate 'x'", 2),
             ("candidates: a b\nvoter: a > a > x", "duplicate candidate 'a' in order", 2),
             ("candidates: a a>b\nvoter: a > b", "invalid candidate name 'a>b'", 1),
+            ("candidates: a b\nvote: a > b", "expected 'voter[ N]:' line, got 'vote'", 2),
+            ("candidates: a b\nvoter 2 3: a > b", "expected 'voter[ N]:' line, got 'voter 2 3'", 2),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment, line):

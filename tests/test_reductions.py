@@ -7,6 +7,7 @@ from dodgsonyoung import (
     CapExceededError,
     MSPCInstance,
     ParseError,
+    Profile,
     alpha,
     amplify_for_winner,
     graph,
@@ -23,6 +24,7 @@ from dodgsonyoung import (
     young_score_bruteforce,
     young_score_with_subset,
 )
+from dodgsonyoung import reductions
 from dodgsonyoung.reductions import (
     SetFamilyInstance,
     serialize_mspc,
@@ -100,6 +102,11 @@ class TestIncToMspc:
     def test_isolated_vertex_rejected(self):
         g = graph(["a", "b", "c"], [("a", "b")])
         with pytest.raises(ValueError, match="isolated"):
+            inc_to_mspc(g, g)
+
+    def test_edge_token_collision_rejected(self):
+        g = graph(["a-b", "c", "a", "b-c"], [("a-b", "c"), ("a", "b-c")])
+        with pytest.raises(ValueError, match="edge token collision"):
             inc_to_mspc(g, g)
 
     def test_alpha_equals_kappa_random(self):
@@ -222,6 +229,7 @@ class TestAmplify:
             c, d = rng.sample(p.candidates, 2)
             amp = amplify_for_winner(p, c, d)
             assert amp.num_voters == p.num_voters
+            assert len(amp.candidates) == 2 + (len(p.candidates) - 2) * p.num_voters
             for order in amp.expanded():
                 assert sorted(order) == sorted(amp.candidates)
 
@@ -242,6 +250,17 @@ class TestAmplify:
             amplify_for_winner(p, "c", "c")
         with pytest.raises(ValueError):
             amplify_for_winner(p, "c", "z")
+        with pytest.raises(ValueError, match="unknown candidate 'z'"):
+            amplify_for_winner(p, "z", "d")
+
+    def test_empty_electorate_rejected(self):
+        with pytest.raises(ValueError, match="cannot amplify an empty electorate"):
+            amplify_for_winner(Profile(("c", "d", "g"), ()), "c", "d")
+
+    def test_candidate_name_collision_rejected(self):
+        p = parse_profile("candidates: g^1 d g\nvoter: g > g^1 > d\nvoter: d > g > g^1\n")
+        with pytest.raises(ValueError, match="candidate name collision"):
+            amplify_for_winner(p, "g^1", "d")
 
     def test_deterministic_bytes(self):
         p = parse_profile("candidates: c d g\nvoter: g > c > d\nvoter: c > d > g\n")
@@ -277,6 +296,15 @@ class TestVerifyChain:
         report = verify_reduction_chain(STAR3, STAR3)
         assert not report.winner_checked
         assert report.winner_answer is None
+
+    def test_winner_stage_is_sized_without_amplifying(self, monkeypatch):
+        expected = verify_reduction_chain(STAR3, STAR4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("amplified a profile whose Winner stage is skipped")
+
+        monkeypatch.setattr(reductions, "amplify_for_winner", refuse)
+        assert verify_reduction_chain(STAR3, STAR4) == expected
 
     def test_winner_stage_logic_on_small_amplified_profile(self):
         p = parse_profile(
@@ -339,6 +367,7 @@ class TestSetFamilyParsing:
                 "base: x1 x2\nset: x2 x1 x2",
                 "line 2: duplicate element in member set ('x1', 'x2', 'x2')",
             ),
+            ("base: x1\nsets: x1", "line 2: expected 'set:' line, got 'sets'"),
         ],
     )
     def test_errors(self, text, fragment):
