@@ -113,9 +113,7 @@ def _cmd_reduce(args, parser) -> int:
 
 def _cmd_amplify(args) -> int:
     profile = _load_profile(args.profile)
-    amplified = reductions.amplify_for_winner(
-        profile, args.candidate, args.other, allow_single_voter=args.allow_single_voter
-    )
+    amplified = reductions.amplify_for_winner(profile, args.candidate, args.other)
     text = serialize_profile(amplified)
     return _emit(args, lambda: {"profile": text}, text)
 
@@ -223,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         option("--emit", choices=("profile", "mspc"), default="profile"),
     )
     verb("amplify", _cmd_amplify, "rotate non-designated candidates per voter",
-         profile, candidate, other, option("--allow-single-voter", action="store_true"))
+         profile, candidate, other)
     verb("verify", _cmd_verify, "run the whole reduction chain; prints true/false",
          option("--graph1", required=True), option("--graph2", required=True))
     verb("convergence", _cmd_convergence, "table of score(qV)/q against the starred LP value",

@@ -1,11 +1,14 @@
 """Exact linear and integer programming over rationals.
 
-Primal simplex with Bland's pivoting rule on a bounded-variable standard
-form, plus a depth-first branch-and-bound wrapper for integer programs.
-Every coefficient is a Fraction, so feasibility and optimality hold exactly;
-there is no tolerance anywhere.  Floats are rejected at construction time.
-Simplex rows are sparse: each holds only its nonzero entries, and the
-artificial start basis is one entry per row.
+Primal simplex with Bland's pivoting rule on the bounded-variable form
+``lower <= x <= upper`` (every lower bound finite, an upper bound optional),
+plus a depth-first branch-and-bound wrapper for integer programs.  Column j
+of the simplex is variable j minus its lower bound, so it ranges over
+``[0, upper - lower]``.  Every coefficient is a Fraction, so feasibility and
+optimality hold exactly; there is no tolerance anywhere.  The program types
+turn ints into Fractions and reject floats when they are built.  Simplex
+rows are sparse: each holds only its nonzero entries, and the artificial
+start basis is one entry per row.
 """
 from __future__ import annotations
 
@@ -27,15 +30,18 @@ def frac(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def _bound(value) -> Fraction | None:
-    return None if value is None else frac(value)
-
-
 @dataclass(frozen=True)
 class Variable:
     name: str
-    lower: Fraction | None = _ZERO
+    lower: Fraction = _ZERO
     upper: Fraction | None = None
+
+    def __post_init__(self) -> None:
+        if self.lower is None:
+            raise ValueError(f"variable {self.name!r} needs a finite lower bound")
+        object.__setattr__(self, "lower", frac(self.lower))
+        if self.upper is not None:
+            object.__setattr__(self, "upper", frac(self.upper))
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,12 @@ class Constraint:
     coeffs: tuple[Fraction, ...]
     relation: str
     rhs: Fraction
+
+    def __post_init__(self) -> None:
+        if self.relation not in RELATIONS:
+            raise ValueError(f"bad relation {self.relation!r}")
+        object.__setattr__(self, "coeffs", tuple(frac(a) for a in self.coeffs))
+        object.__setattr__(self, "rhs", frac(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -60,30 +72,20 @@ class LinearProgram:
             raise ValueError("variable names must be unique")
         if len(self.objective) != len(self.variables):
             raise ValueError("objective length does not match variable count")
-        # Floats would make the answers inexact, also in a program built
-        # without `linear_program`.
-        for var in self.variables:
-            _bound(var.lower)
-            _bound(var.upper)
-        for value in self.objective:
-            frac(value)
-        for con in self.constraints:
-            if con.relation not in RELATIONS:
-                raise ValueError(f"bad relation {con.relation!r}")
-            if len(con.coeffs) != len(self.variables):
-                raise ValueError("constraint length does not match variable count")
-            for value in (*con.coeffs, con.rhs):
-                frac(value)
+        if any(len(con.coeffs) != len(self.variables) for con in self.constraints):
+            raise ValueError("constraint length does not match variable count")
+        object.__setattr__(self, "objective", tuple(frac(c) for c in self.objective))
 
 
 def linear_program(direction, variables, objective, constraints=()) -> LinearProgram:
-    """Convenience constructor coercing ints; variables given as (name, lower, upper)."""
-    var_tuple = tuple(Variable(name, _bound(lo), _bound(hi)) for name, lo, hi in variables)
-    cons = tuple(
-        Constraint(tuple(frac(a) for a in coeffs), rel, frac(rhs))
-        for coeffs, rel, rhs in constraints
+    """Convenience constructor: variables as (name, lower, upper), constraints
+    as (coeffs, relation, rhs)."""
+    return LinearProgram(
+        direction,
+        tuple(Variable(*var) for var in variables),
+        tuple(objective),
+        tuple(Constraint(*con) for con in constraints),
     )
-    return LinearProgram(direction, var_tuple, tuple(frac(c) for c in objective), cons)
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ class IntegerProgram:
             var = by_name.get(name)
             if var is None:
                 raise ValueError(f"integral variable {name!r} is not in the program")
-            if var.lower is None or var.upper is None:
-                raise ValueError(f"integral variable {name!r} must have finite bounds")
+            if var.upper is None:
+                raise ValueError(f"integral variable {name!r} must have a finite upper bound")
 
 
 @dataclass(frozen=True)
@@ -109,52 +111,6 @@ class LPSolution:
 
     def __getitem__(self, name: str) -> Fraction:
         return self.assignment[name]
-
-
-class _Standardized:
-    """Each variable is offset + sum(sign * column), over columns bounded to [0, u].
-
-    With a finite lower bound a variable is lo + col with col <= hi - lo (a
-    fixed variable is a column of width zero), with only an upper bound it is
-    hi - col, and a free variable is col - col'.  Crossed bounds give a
-    column with u < 0, which `solve_lp` reports as infeasible.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        self.col_upper: list[Fraction | None] = []
-        self.maps: list[tuple[Fraction, tuple[tuple[int, int], ...]]] = []
-        for var in lp.variables:
-            lo, hi = var.lower, var.upper
-            if lo is not None:
-                offset, parts = lo, ((1, None if hi is None else hi - lo),)
-            elif hi is not None:
-                offset, parts = hi, ((-1, None),)
-            else:
-                offset, parts = _ZERO, ((1, None), (-1, None))
-            terms = []
-            for sign, upper in parts:
-                terms.append((sign, len(self.col_upper)))
-                self.col_upper.append(upper)
-            self.maps.append((offset, tuple(terms)))
-
-    def to_columns(self, coeffs) -> tuple[dict[int, Fraction], Fraction]:
-        """Rewrite a row over original variables as (nonzero column coefficients, constant)."""
-        cols = {}
-        const = _ZERO
-        for a, (offset, terms) in zip(coeffs, self.maps):
-            if a == 0:
-                continue
-            const += a * offset
-            for sign, col in terms:
-                cols[col] = a if sign > 0 else -a
-        return cols, const
-
-    def assignment_from(self, col_values) -> dict[str, Fraction]:
-        return {
-            var.name: offset + sum(sign * col_values[col] for sign, col in terms)
-            for var, (offset, terms) in zip(self.lp.variables, self.maps)
-        }
 
 
 class _Simplex:
@@ -316,9 +272,7 @@ class _Simplex:
 def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
     for var in lp.variables:
         val = assignment[var.name]
-        if var.lower is not None and val < var.lower:
-            raise RuntimeError(f"internal: bound violation on {var.name}")
-        if var.upper is not None and val > var.upper:
+        if val < var.lower or (var.upper is not None and val > var.upper):
             raise RuntimeError(f"internal: bound violation on {var.name}")
     values = [assignment[v.name] for v in lp.variables]
     for con in lp.constraints:
@@ -333,18 +287,22 @@ def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Solve exactly; an optimal solution is re-verified by substitution."""
-    std = _Standardized(lp)
-    if any(u is not None and u < 0 for u in std.col_upper):
+    """Solve exactly; an optimal solution is re-verified by substitution.
+
+    Column j is variable j minus its lower bound, of width upper - lower; a
+    negative width (crossed bounds) makes the program infeasible.
+    """
+    lower = [v.lower for v in lp.variables]
+    width = [None if v.upper is None else v.upper - v.lower for v in lp.variables]
+    if any(u is not None and u < 0 for u in width):
         return LPSolution("infeasible")
     # Each inequality row gets a slack column with coefficient +1, after the
     # structural columns; a '>=' row is negated first.
-    structural = len(std.col_upper)
-    slack = structural
+    slack = len(width)
     rows, rhs = [], []
     for con in lp.constraints:
-        row, const = std.to_columns(con.coeffs)
-        b = con.rhs - const
+        row = {j: a for j, a in enumerate(con.coeffs) if a}
+        b = con.rhs - sum((a * lower[j] for j, a in row.items()), _ZERO)
         if con.relation == ">=":
             row, b = {j: -a for j, a in row.items()}, -b
         if con.relation != "=":
@@ -353,14 +311,13 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         rows.append(row)
         rhs.append(b)
 
-    simplex = _Simplex(rows, rhs, std.col_upper + [None] * (slack - structural))
+    simplex = _Simplex(rows, rhs, width + [None] * (slack - len(width)))
     if not simplex.phase_one():
         return LPSolution("infeasible")
     sense = 1 if lp.direction == "min" else -1
-    costs, _ = std.to_columns([sense * c for c in lp.objective])
-    if simplex.phase_two(costs) == "unbounded":
+    if simplex.phase_two({j: sense * c for j, c in enumerate(lp.objective) if c}) == "unbounded":
         return LPSolution("unbounded")
-    assignment = std.assignment_from([simplex.column_value(col) for col in range(structural)])
+    assignment = {v.name: v.lower + simplex.column_value(j) for j, v in enumerate(lp.variables)}
     _verify_solution(lp, assignment)
     value = sum((c * assignment[v.name] for c, v in zip(lp.objective, lp.variables)), _ZERO)
     return LPSolution("optimal", assignment, value)

@@ -268,14 +268,13 @@ def _amplified_candidates(k: int, n: int) -> int:
     return 2 + (k - 2) * n
 
 
-def amplify_for_winner(
-    profile: Profile, c: CandidateId, d: CandidateId, *, allow_single_voter: bool = False
-) -> Profile:
+def amplify_for_winner(profile: Profile, c: CandidateId, d: CandidateId) -> Profile:
     """Replace every non-designated candidate by a per-voter rotated block.
 
     Candidate g becomes g^0..g^{n-1}; expanded voter i (0-based) sees the
     block starting at g^{i mod n}.  This preserves the Young scores of c and
-    d while capping every replacement candidate's score at 1.
+    d while capping every replacement candidate's score at 1.  A single voter
+    is refused: its rotation is degenerate.
     """
     if c not in profile.candidates:
         raise ValueError(f"unknown candidate {c!r}")
@@ -286,10 +285,8 @@ def amplify_for_winner(
     n = profile.num_voters
     if n == 0:
         raise ValueError("cannot amplify an empty electorate")
-    if n == 1 and not allow_single_voter:
-        raise ValueError(
-            "single-voter rotation is degenerate; pass allow_single_voter=True to force it"
-        )
+    if n == 1:
+        raise ValueError("single-voter rotation is degenerate")
     others = [g for g in profile.candidates if g not in (c, d)]
     if not others:
         return profile

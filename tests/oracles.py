@@ -148,13 +148,10 @@ def random_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
 
 
 def random_lp_any_bounds(rng: random.Random, max_vars: int = 4) -> LinearProgram:
-    """`random_lp` with each bound dropped with probability 1/2: variables are
-    boxed (fixed when the box is a point), bounded on one side only, or free."""
+    """`random_lp` with each upper bound dropped with probability 1/2: variables
+    are boxed (fixed when the box is a point) or bounded below only."""
     lp = random_lp(rng, max_vars)
-    variables = tuple(
-        Variable(v.name, rng.choice((v.lower, None)), rng.choice((v.upper, None)))
-        for v in lp.variables
-    )
+    variables = tuple(Variable(v.name, v.lower, rng.choice((v.upper, None))) for v in lp.variables)
     return LinearProgram(lp.direction, variables, lp.objective, lp.constraints)
 
 
@@ -162,10 +159,7 @@ def _float_program(lp: LinearProgram):
     """lp as a float minimisation: (sense, costs, bounds, rows of (coeffs, low, high))."""
     sense = 1 if lp.direction == "min" else -1
     costs = [sense * float(x) for x in lp.objective]
-    bounds = [
-        (None if v.lower is None else float(v.lower), None if v.upper is None else float(v.upper))
-        for v in lp.variables
-    ]
+    bounds = [(float(v.lower), None if v.upper is None else float(v.upper)) for v in lp.variables]
     rows = []
     for con in lp.constraints:
         rhs = float(con.rhs)
@@ -205,7 +199,7 @@ def scipy_milp(scipy_opt, lp: LinearProgram):
     returns (sense, result)."""
     sense, costs, bounds, rows = _float_program(lp)
     box = scipy_opt.Bounds(
-        [-INF if low is None else low for low, _ in bounds],
+        [low for low, _ in bounds],
         [INF if high is None else high for _, high in bounds],
     )
     constraints = None

@@ -187,7 +187,7 @@ def test_criterion_7_starred_scale_invariance():
 def _verify_exact(lp, assignment):
     for var in lp.variables:
         val = assignment[var.name]
-        assert var.lower is None or val >= var.lower
+        assert val >= var.lower
         assert var.upper is None or val <= var.upper
     for con in lp.constraints:
         lhs = sum(a * assignment[v.name] for a, v in zip(con.coeffs, lp.variables))

@@ -43,7 +43,7 @@ BEALE = linear_program(
 def check_feasible(lp, assignment):
     for var in lp.variables:
         val = assignment[var.name]
-        assert var.lower is None or val >= var.lower
+        assert val >= var.lower
         assert var.upper is None or val <= var.upper
     for con in lp.constraints:
         lhs = sum(a * assignment[v.name] for a, v in zip(con.coeffs, lp.variables))
@@ -63,7 +63,7 @@ class TestSolveLP:
         assert sol["x"] == 3
 
     def test_infeasible_pair(self):
-        lp = linear_program("min", [("x", None, None)], [1], [([1], ">=", 2), ([1], "<=", 1)])
+        lp = linear_program("min", [("x", 0, None)], [1], [([1], ">=", 2), ([1], "<=", 1)])
         assert solve_lp(lp).status == "infeasible"
 
     def test_unbounded(self):
@@ -71,15 +71,6 @@ class TestSolveLP:
 
     def test_crossed_bounds_infeasible(self):
         assert solve_lp(linear_program("min", [("x", 2, 1)], [1], [])).status == "infeasible"
-
-    def test_free_variable_equality(self):
-        sol = solve_lp(linear_program("min", [("x", None, None)], [1], [([1], "=", F(-7, 3))]))
-        assert sol.status == "optimal"
-        assert sol["x"] == F(-7, 3)
-
-    def test_upper_bounded_only_variable(self):
-        sol = solve_lp(linear_program("max", [("x", None, F(5, 2))], [1], []))
-        assert sol.objective_value == F(5, 2)
 
     def test_fixed_variables_only(self):
         sol = solve_lp(linear_program("min", [("x", 2, 2)], [3], [([1], "<=", 2)]))
@@ -154,15 +145,18 @@ class TestSolveLP:
         assert checked > 20
 
     def test_every_variable_kind_against_scipy(self):
-        # Free, lower-only, upper-only, boxed and fixed variables, with
-        # "unbounded" matched to scipy status 3.
+        # Boxed, fixed and lower-only variables, with "unbounded" matched to
+        # scipy status 3.
         scipy_opt = pytest.importorskip("scipy.optimize")
         rng = random.Random(626)
         statuses = Counter()
         kinds = set()
         for _ in range(200):
             lp = random_lp_any_bounds(rng)
-            kinds.update((v.lower is None, v.upper is None) for v in lp.variables)
+            kinds.update(
+                "lower-only" if v.upper is None else "fixed" if v.lower == v.upper else "boxed"
+                for v in lp.variables
+            )
             sol = solve_lp(lp)
             sense, res = scipy_linprog(scipy_opt, lp)
             statuses[sol.status] += 1
@@ -172,7 +166,7 @@ class TestSolveLP:
                 check_feasible(lp, sol.assignment)
             else:
                 assert res.status == {"infeasible": 2, "unbounded": 3}[sol.status]
-        assert len(kinds) == 4
+        assert kinds == {"boxed", "fixed", "lower-only"}
         assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 10
 
 
@@ -285,6 +279,29 @@ class TestProgramTypes:
         for program in programs:
             with pytest.raises(TypeError):
                 program()
+
+    def test_lower_bound_required(self):
+        programs = [
+            lambda: Variable("x", None, 1),
+            lambda: linear_program("min", [("x", None, None)], [1], []),
+            lambda: LinearProgram("min", (Variable("x", lower=None),), (F(1),)),
+        ]
+        for program in programs:
+            with pytest.raises(ValueError, match="finite lower bound"):
+                program()
+
+    def test_ints_become_fractions_without_linear_program(self):
+        lp = LinearProgram(
+            "max",
+            (Variable("x", 0, 3), Variable("y", 0, None)),
+            (1, 1),
+            (Constraint((2, 3), "<=", 7), Constraint((1, -1), ">=", 0)),
+        )
+        assert all(type(a) is F for con in lp.constraints for a in (*con.coeffs, con.rhs))
+        assert all(type(a) is F for v in lp.variables for a in (v.lower, v.upper) if a is not None)
+        sol = solve_lp(lp)
+        assert (sol.objective_value, sol["x"], sol["y"]) == (F(10, 3), 3, F(1, 3))
+        assert type(sol.objective_value) is F and type(sol["y"]) is F
 
 
 class TestPivotCounts:

@@ -25,6 +25,7 @@ from dodgsonyoung import (
     young_score_with_subset,
 )
 from dodgsonyoung import reductions
+from dodgsonyoung.cli import run
 from dodgsonyoung.reductions import (
     SetFamilyInstance,
     serialize_mspc,
@@ -237,12 +238,16 @@ class TestAmplify:
         p = parse_profile("candidates: c d\nvoter: c > d\nvoter: d > c\n")
         assert amplify_for_winner(p, "c", "d") == p
 
-    def test_single_voter_needs_flag(self):
-        p = parse_profile("candidates: c d g\nvoter: g > c > d\n")
-        with pytest.raises(ValueError, match="single-voter"):
-            amplify_for_winner(p, "c", "d")
-        amp = amplify_for_winner(p, "c", "d", allow_single_voter=True)
-        assert amp.candidates == ("c", "d", "g^0")
+    def test_single_voter_refused(self, tmp_path, capsys):
+        text = "candidates: c d g\nvoter: g > c > d\n"
+        with pytest.raises(ValueError, match="single-voter rotation is degenerate"):
+            amplify_for_winner(parse_profile(text), "c", "d")
+        path = tmp_path / "single.elect"
+        path.write_text(text)
+        assert run(["amplify", "--profile", str(path), "--candidate", "c", "--other", "d"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: single-voter rotation is degenerate\n"
 
     def test_designated_validation(self):
         p = parse_profile("candidates: c d g\nvoter: g > c > d\nvoter: c > d > g\n")
