@@ -7,8 +7,9 @@ of the simplex is variable j minus its lower bound, so it ranges over
 ``[0, upper - lower]``.  Every coefficient is a Fraction, so feasibility and
 optimality hold exactly; there is no tolerance anywhere.  The program types
 turn ints into Fractions and reject floats when they are built.  Simplex
-rows are sparse: each holds only its nonzero entries, and the artificial
-start basis is one entry per row.
+rows are sparse: each holds only its nonzero entries.  An inequality row
+whose right-hand side is nonnegative starts basic in its own slack; only the
+other rows get an artificial column, one entry each.
 """
 from __future__ import annotations
 
@@ -120,30 +121,41 @@ class _Simplex:
     touches only the rows that hold the entering column and, in them, only
     the pivot row's nonzero columns.  Nonbasic columns sit at one of their
     bounds (`at_upper` flags the upper one); `beta` holds the current value
-    of each basic column.  Bland's rule picks the smallest-index eligible
+    of each basic column.  The start basis holds a row's slack where that is
+    feasible and an artificial column elsewhere; phase 1 drives the
+    artificials to zero.  Bland's rule picks the smallest-index eligible
     entering column and, among the ties of the ratio test, the smallest-index
     leaving variable, which guarantees termination even on degenerate
     instances.  Only columns below `entering` are priced: phase 2 leaves out
     the artificials.
     """
 
-    def __init__(self, rows, rhs, col_upper):
-        # Rows with rhs < 0 are negated so that one artificial column per row,
-        # a single entry 1 in that row, is a feasible start basis.
+    def __init__(self, rows, rhs, col_upper, start):
+        # Row r starts basic in start[r], a column whose only entry is a 1 in
+        # row r, when rhs[r] >= 0.  A row whose start[r] is None is negated if
+        # rhs[r] < 0 and gets an artificial column after col_upper, a single
+        # entry 1 in that row.  The row dicts are taken over, not copied.
         self.m = len(rows)
-        self.art_start = len(col_upper)
-        self.ncols = self.entering = self.art_start + self.m
+        self.art_start = ncols = len(col_upper)
         self.rows: list[dict[int, Fraction]] = []
         self.beta: list[Fraction] = []
-        for r, (row, b) in enumerate(zip(rows, rhs)):
-            row = dict(row) if b >= 0 else {j: -a for j, a in row.items()}
-            row[self.art_start + r] = _ONE
+        self.basis: list[int] = []
+        for row, b, col in zip(rows, rhs, start):
+            if col is None:
+                if b < 0:
+                    row = {j: -a for j, a in row.items()}
+                col = ncols
+                row[col] = _ONE
+                ncols += 1
             self.rows.append(row)
             self.beta.append(abs(b))
-        self.upper: list[Fraction | None] = list(col_upper) + [None] * self.m
-        self.basis = list(range(self.art_start, self.ncols))
-        self.at_upper = [False] * self.ncols
-        self.in_basis = [False] * self.art_start + [True] * self.m
+            self.basis.append(col)
+        self.ncols = self.entering = ncols
+        self.upper: list[Fraction | None] = list(col_upper) + [None] * (ncols - self.art_start)
+        self.at_upper = [False] * ncols
+        self.in_basis = [False] * ncols
+        for col in self.basis:
+            self.in_basis[col] = True
 
     # -- helpers ---------------------------------------------------------
 
@@ -297,21 +309,23 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     if any(u is not None and u < 0 for u in width):
         return LPSolution("infeasible")
     # Each inequality row gets a slack column with coefficient +1, after the
-    # structural columns; a '>=' row is negated first.
+    # structural columns; a '>=' row is negated first.  The slack is the
+    # row's start column when the shifted rhs is nonnegative.
     slack = len(width)
-    rows, rhs = [], []
+    rows, rhs, start = [], [], []
     for con in lp.constraints:
         row = {j: a for j, a in enumerate(con.coeffs) if a}
         b = con.rhs - sum((a * lower[j] for j, a in row.items()), _ZERO)
         if con.relation == ">=":
             row, b = {j: -a for j, a in row.items()}, -b
+        start.append(slack if con.relation != "=" and b >= 0 else None)
         if con.relation != "=":
             row[slack] = _ONE
             slack += 1
         rows.append(row)
         rhs.append(b)
 
-    simplex = _Simplex(rows, rhs, width + [None] * (slack - len(width)))
+    simplex = _Simplex(rows, rhs, width + [None] * (slack - len(width)), start)
     if not simplex.phase_one():
         return LPSolution("infeasible")
     sense = 1 if lp.direction == "min" else -1

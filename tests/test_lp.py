@@ -8,6 +8,7 @@ import pytest
 
 from dodgsonyoung import SCHEMES, Profile, parse_profile
 from dodgsonyoung import lp as lp_module
+from dodgsonyoung.homogeneous import dodgson_star_program, young_star_program
 from dodgsonyoung.lp import (
     Constraint,
     IntegerProgram,
@@ -144,20 +145,32 @@ class TestSolveLP:
                 assert res.status == 2
         assert checked > 20
 
-    def test_every_variable_kind_against_scipy(self):
+    def test_every_variable_kind_against_scipy(self, monkeypatch):
         # Boxed, fixed and lower-only variables, with "unbounded" matched to
-        # scipy status 3.
+        # scipy status 3.  Rows start basic in their slack or in an
+        # artificial, and many programs mix both start kinds.
         scipy_opt = pytest.importorskip("scipy.optimize")
+        starts = []
+        init = lp_module._Simplex.__init__
+
+        def recorded(self, rows, rhs, col_upper, start):
+            starts.append(start)
+            init(self, rows, rhs, col_upper, start)
+
+        monkeypatch.setattr(lp_module._Simplex, "__init__", recorded)
         rng = random.Random(626)
         statuses = Counter()
         kinds = set()
+        mixed = 0
         for _ in range(200):
             lp = random_lp_any_bounds(rng)
             kinds.update(
                 "lower-only" if v.upper is None else "fixed" if v.lower == v.upper else "boxed"
                 for v in lp.variables
             )
+            starts.clear()
             sol = solve_lp(lp)
+            mixed += {col is None for col in starts[0]} == {True, False}
             sense, res = scipy_linprog(scipy_opt, lp)
             statuses[sol.status] += 1
             if sol.status == "optimal":
@@ -168,6 +181,7 @@ class TestSolveLP:
                 assert res.status == {"infeasible": 2, "unbounded": 3}[sol.status]
         assert kinds == {"boxed", "fixed", "lower-only"}
         assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 10
+        assert mixed > 40
 
 
 class TestSolveILP:
@@ -330,7 +344,7 @@ class TestPivotCounts:
 
     @pytest.mark.parametrize(
         "fixture, expected",
-        [("cycle", [11, 5, 12, 8]), ("young_ranking14", [551, 147, 291, 131])],
+        [("cycle", [7, 5, 3, 8]), ("young_ranking14", [300, 147, 91, 56])],
     )
     def test_scheme_scores_on_fixtures(self, pivots, fixture, expected):
         profile = parse_profile((FIXTURES / f"{fixture}.elect").read_text())
@@ -348,4 +362,37 @@ class TestPivotCounts:
             name: sum(pivots(lambda: scheme.scores(p)) for p in profiles)
             for name, scheme in SCHEMES.items()
         }
-        assert totals == {"dodgson": 1413, "young": 781, "dodgson-star": 1334, "young-star": 816}
+        assert totals == {"dodgson": 258, "young": 781, "dodgson-star": 210, "young-star": 590}
+
+    def test_phase_one_pivots_only_for_rows_infeasible_at_the_lower_bounds(self, monkeypatch):
+        # Young*'s rows are ">= 0", so every row starts from its slack and
+        # phase 1 makes no pivot.  Dodgson*'s only rival row (">= 1/2" on CYCLE)
+        # needs an artificial, which one pivot drives out; its capacity rows
+        # ("<= count") start from their slacks.
+        phase_one = lp_module._Simplex.phase_one
+        pivot = lp_module._Simplex._pivot
+        calls, per_solve = [], []
+
+        def counted_pivot(self, *args):
+            calls.append(None)
+            return pivot(self, *args)
+
+        def counted_phase_one(self):
+            before = len(calls)
+            feasible = phase_one(self)
+            per_solve.append(len(calls) - before)
+            return feasible
+
+        monkeypatch.setattr(lp_module._Simplex, "_pivot", counted_pivot)
+        monkeypatch.setattr(lp_module._Simplex, "phase_one", counted_phase_one)
+        profile = parse_profile((FIXTURES / "cycle.elect").read_text())
+
+        def phase_one_pivots(program):
+            per_solve.clear()
+            assert solve_lp(program).status == "optimal"
+            return list(per_solve)
+
+        young = [phase_one_pivots(young_star_program(profile, c)) for c in profile.candidates]
+        assert young == [[0], [0], [0]]
+        dodgson = [phase_one_pivots(dodgson_star_program(profile, c)) for c in profile.candidates]
+        assert dodgson == [[1], [1], [1]]
