@@ -1,15 +1,16 @@
 """Exact linear and integer programming over rationals.
 
-Primal simplex with Bland's pivoting rule on the bounded-variable form
-``lower <= x <= upper`` (every lower bound finite, an upper bound optional),
-plus a depth-first branch-and-bound wrapper for integer programs.  Column j
-of the simplex is variable j minus its lower bound, so it ranges over
-``[0, upper - lower]``.  Every coefficient is a Fraction, so feasibility and
-optimality hold exactly; there is no tolerance anywhere.  The program types
-turn ints into Fractions and reject floats when they are built.  Simplex
-rows are sparse: each holds only its nonzero entries.  An inequality row
-whose right-hand side is nonnegative starts basic in its own slack; only the
-other rows get an artificial column, one entry each.
+One bounded dual simplex with Bland's rule in dual form on the
+bounded-variable form ``lower <= x <= upper`` (every lower bound finite, an
+upper bound optional), plus a depth-first branch-and-bound wrapper for
+integer programs.  Column j of the simplex is variable j minus its lower
+bound, so it ranges over ``[0, upper - lower]``.  Every row starts basic in
+its own slack and every column at the bound its cost prefers, which is dual
+feasible, so there is one phase and no artificial column.  Every coefficient
+is a Fraction, so feasibility and optimality hold exactly; there is no
+tolerance anywhere.  The program types turn ints into Fractions and reject
+floats when they are built.  Simplex rows are sparse: each holds only its
+nonzero entries.
 """
 from __future__ import annotations
 
@@ -115,60 +116,37 @@ class LPSolution:
 
 
 class _Simplex:
-    """Bounded-variable primal simplex on equality rows with columns in [0, u].
+    """Bounded dual simplex on equality rows with columns in [0, u].
 
-    Each row is a dict of its nonzero entries, column -> coefficient; a pivot
-    touches only the rows that hold the entering column and, in them, only
-    the pivot row's nonzero columns.  Nonbasic columns sit at one of their
-    bounds (`at_upper` flags the upper one); `beta` holds the current value
-    of each basic column.  The start basis holds a row's slack where that is
-    feasible and an artificial column elsewhere; phase 1 drives the
-    artificials to zero.  Bland's rule picks the smallest-index eligible
-    entering column and, among the ties of the ratio test, the smallest-index
-    leaving variable, which guarantees termination even on degenerate
-    instances.  Only columns below `entering` are priced: phase 2 leaves out
-    the artificials.
+    Column n + r is row r's slack, with a single entry 1 in that row; it
+    starts basic, and every other column starts at the bound its cost
+    prefers (upper for a negative cost, lower otherwise), so every reduced
+    cost has the right sign from the start.  Each step takes the basic column
+    of smallest index that lies outside its bounds, moves it to the bound it
+    violates, and enters the nonbasic column of the pivot row whose reduced
+    cost reaches zero first, ties to the smallest index: Bland's rule in dual
+    form, which terminates on dual degenerate programs too.  Each row is a
+    dict of its nonzero entries, column -> coefficient, so the ratio test
+    reads only the pivot row, and a pivot touches only the rows that hold the
+    entering column.  Nonbasic columns sit at one of their bounds (`at_upper`
+    flags the upper one), `beta` holds the value of each basic column and `z`
+    the reduced cost of every column.  A column with a negative cost needs a
+    finite upper bound; `solve_lp` gives one to a column that has none.
     """
 
-    def __init__(self, rows, rhs, col_upper, start):
-        # Row r starts basic in start[r], a column whose only entry is a 1 in
-        # row r, when rhs[r] >= 0.  A row whose start[r] is None is negated if
-        # rhs[r] < 0 and gets an artificial column after col_upper, a single
-        # entry 1 in that row.  The row dicts are taken over, not copied.
-        self.m = len(rows)
-        self.art_start = ncols = len(col_upper)
-        self.rows: list[dict[int, Fraction]] = []
-        self.beta: list[Fraction] = []
-        self.basis: list[int] = []
-        for row, b, col in zip(rows, rhs, start):
-            if col is None:
-                if b < 0:
-                    row = {j: -a for j, a in row.items()}
-                col = ncols
-                row[col] = _ONE
-                ncols += 1
-            self.rows.append(row)
-            self.beta.append(abs(b))
-            self.basis.append(col)
-        self.ncols = self.entering = ncols
-        self.upper: list[Fraction | None] = list(col_upper) + [None] * (ncols - self.art_start)
-        self.at_upper = [False] * ncols
-        self.in_basis = [False] * ncols
-        for col in self.basis:
-            self.in_basis[col] = True
-
-    # -- helpers ---------------------------------------------------------
-
-    def _reduced_costs(self, costs: dict[int, Fraction]) -> list[Fraction]:
-        z = [_ZERO] * self.ncols
-        for j, c in costs.items():
-            z[j] = c
-        for r in range(self.m):
-            cb = costs.get(self.basis[r], 0)
-            if cb != 0:
-                for j, a in self.rows[r].items():
-                    z[j] -= cb * a
-        return z
+    def __init__(self, rows, rhs, upper, costs):
+        # The row dicts and lists are taken over, not copied.
+        n = len(upper) - len(rows)
+        self.rows: list[dict[int, Fraction]] = rows
+        self.upper: list[Fraction | None] = upper
+        self.z: list[Fraction] = costs
+        self.basis = list(range(n, len(upper)))
+        self.in_basis = [False] * n + [True] * len(rows)
+        self.at_upper = [c < 0 for c in costs]
+        self.beta = [
+            b - sum((a * upper[j] for j, a in row.items() if self.at_upper[j]), _ZERO)
+            for row, b in zip(rows, rhs)
+        ]
 
     def column_value(self, col: int) -> Fraction:
         if self.in_basis[col]:
@@ -177,7 +155,7 @@ class _Simplex:
             return self.upper[col]
         return _ZERO
 
-    def _pivot(self, r: int, col: int, z: list[Fraction]) -> None:
+    def _pivot(self, r: int, col: int) -> None:
         row = self.rows[r]
         piv = row[col]
         if piv != 1:
@@ -193,92 +171,46 @@ class _Simplex:
                     other[j] = a
                 else:
                     del other[j]  # the entry cancelled
-        f = z[col]
+        f = self.z[col]
         if f != 0:
             for j, b in row.items():
-                z[j] -= f * b
+                self.z[j] -= f * b
 
-    # -- core loop -------------------------------------------------------
-
-    def iterate(self, z: list[Fraction]) -> str:
+    def solve(self) -> bool:
+        """Pivot until every basic column is within its bounds; False when a
+        row shows that none of its values is reachable (infeasible)."""
         while True:
-            enter = -1
-            direction = 0
-            for j in range(self.entering):
-                if self.in_basis[j]:
-                    continue
-                zj = z[j]
-                if not self.at_upper[j] and zj < 0:
-                    enter, direction = j, 1
-                    break
-                if self.at_upper[j] and zj > 0:
-                    enter, direction = j, -1
-                    break
-            if enter < 0:
-                return "optimal"
-            column = [row.get(enter, 0) for row in self.rows]
-            best_t = None
-            best_var = -1
-            best_row = -1
-            best_kind = ""
-            own = self.upper[enter]
-            if own is not None:
-                best_t, best_var, best_row, best_kind = own, enter, -1, "flip"
-            for r, yr in enumerate(column):
-                if yr == 0:
-                    continue
-                delta = yr if direction == 1 else -yr
-                bvar = self.basis[r]
-                if delta > 0:
-                    t = self.beta[r] / delta
-                    kind = "lower"
-                else:
-                    ub = self.upper[bvar]
-                    if ub is None:
-                        continue
-                    t = (ub - self.beta[r]) / (-delta)
-                    kind = "upper"
-                if best_t is None or t < best_t or (t == best_t and bvar < best_var):
-                    best_t, best_var, best_row, best_kind = t, bvar, r, kind
-            if best_t is None:
-                return "unbounded"
-            t = best_t
-            if t != 0:
-                for r, yr in enumerate(column):
-                    if yr != 0:
-                        self.beta[r] -= t * yr if direction == 1 else -t * yr
-            if best_kind == "flip":
-                self.at_upper[enter] = not self.at_upper[enter]
-                continue
-            r = best_row
+            r = -1
+            for i, col in enumerate(self.basis):
+                value, ub = self.beta[i], self.upper[col]
+                if (value < 0 or (ub is not None and value > ub)) and (r < 0 or col < self.basis[r]):
+                    r = i
+            if r < 0:
+                return True
             leave = self.basis[r]
-            self.in_basis[leave] = False
-            self.at_upper[leave] = best_kind == "upper"
-            value = t if direction == 1 else self.upper[enter] - t
-            self.at_upper[enter] = False
-            self.in_basis[enter] = True
+            to_upper = self.beta[r] > 0
+            target = self.upper[leave] if to_upper else _ZERO
+            # Moving an eligible column off its bound moves `leave` towards
+            # `target`; the first reduced cost to reach zero decides.
+            enter, ratio = -1, None
+            for j, a in self.rows[r].items():
+                if j == leave or self.upper[j] == 0 or ((a > 0) != to_upper) != self.at_upper[j]:
+                    continue
+                t = abs(self.z[j] / a)
+                if ratio is None or t < ratio or (t == ratio and j < enter):
+                    enter, ratio = j, t
+            if enter < 0:
+                return False
+            step = (self.beta[r] - target) / self.rows[r][enter]
+            for i, row in enumerate(self.rows):
+                a = row.get(enter)
+                if a is not None:
+                    self.beta[i] -= a * step
+            self.beta[r] = (self.upper[enter] if self.at_upper[enter] else _ZERO) + step
+            self.in_basis[leave], self.at_upper[leave] = False, to_upper
+            self.in_basis[enter], self.at_upper[enter] = True, False
             self.basis[r] = enter
-            self.beta[r] = value
-            self._pivot(r, enter, z)
-
-    # -- phases ----------------------------------------------------------
-
-    def phase_one(self) -> bool:
-        z = self._reduced_costs(dict.fromkeys(range(self.art_start, self.ncols), _ONE))
-        if self.iterate(z) != "optimal":  # pragma: no cover - phase 1 is bounded below
-            raise RuntimeError("internal: phase 1 cannot be unbounded")
-        if any(self.beta[r] for r in range(self.m) if self.basis[r] >= self.art_start):
-            return False
-        # Artificials are fixed at zero and never priced again.  One still
-        # basic (its row may be dependent) then leaves at the first pivot that
-        # would move it, since the ratio test bounds it above by 0.
-        for col in range(self.art_start, self.ncols):
-            self.upper[col] = _ZERO
-        self.entering = self.art_start
-        return True
-
-    def phase_two(self, costs: dict[int, Fraction]) -> str:
-        return self.iterate(self._reduced_costs(costs))
+            self._pivot(r, enter)
 
 
 def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
@@ -298,38 +230,72 @@ def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None
             raise RuntimeError("internal: constraint violation in reported solution")
 
 
+def _artificial_bound(lp: LinearProgram) -> int:
+    """An integer above every coordinate of every vertex of lp, each measured
+    from its variable's lower bound.
+
+    A vertex solves a square system M of tight rows and bounds, with the
+    lower bounds shifted into the right-hand sides.  Scaled to integers,
+    |det M| >= 1, and by Cramer's rule and Hadamard's inequality each
+    coordinate is at most the product of the norms of those rows with their
+    right-hand sides appended.  The product over every row and every finite
+    upper bound, each norm rounded up, is at least that.
+    """
+    lower = [v.lower for v in lp.variables]
+    rows = [
+        (*con.coeffs, con.rhs - sum((a * x for a, x in zip(con.coeffs, lower) if a), _ZERO))
+        for con in lp.constraints
+    ]
+    rows += [(_ONE, v.upper - v.lower) for v in lp.variables if v.upper is not None]
+    bound = 1
+    for row in rows:
+        scale = math.lcm(*(a.denominator for a in row))
+        square = sum(int(a * scale) ** 2 for a in row)
+        bound *= math.isqrt(max(square - 1, 0)) + 1
+    return bound + 1
+
+
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve exactly; an optimal solution is re-verified by substitution.
 
     Column j is variable j minus its lower bound, of width upper - lower; a
-    negative width (crossed bounds) makes the program infeasible.
+    negative width (crossed bounds) makes the program infeasible.  A column
+    with no upper bound whose cost rewards growth is given the artificial
+    upper bound `_artificial_bound(lp)`, which no vertex reaches.  So the
+    bounded program is feasible exactly when lp is, and at its optimum either
+    such a column sits at that bound with a nonzero reduced cost, and then
+    every optimum of the bounded program lies beyond every vertex of lp and
+    lp is unbounded, or the reduced costs prove the point optimal for lp.
     """
     lower = [v.lower for v in lp.variables]
-    width = [None if v.upper is None else v.upper - v.lower for v in lp.variables]
-    if any(u is not None and u < 0 for u in width):
+    upper = [None if v.upper is None else v.upper - v.lower for v in lp.variables]
+    if any(u is not None and u < 0 for u in upper):
         return LPSolution("infeasible")
-    # Each inequality row gets a slack column with coefficient +1, after the
-    # structural columns; a '>=' row is negated first.  The slack is the
-    # row's start column when the shifted rhs is nonnegative.
-    slack = len(width)
-    rows, rhs, start = [], [], []
-    for con in lp.constraints:
+    sense = 1 if lp.direction == "min" else -1
+    costs = [sense * c for c in lp.objective]
+    grown = [j for j, (u, c) in enumerate(zip(upper, costs)) if u is None and c < 0]
+    if grown:
+        bound = Fraction(_artificial_bound(lp))
+        for j in grown:
+            upper[j] = bound
+    # Row r gets slack column n + r with coefficient +1, fixed at 0 for an '='
+    # row; a '>=' row is negated first.
+    n = len(upper)
+    rows, rhs = [], []
+    for r, con in enumerate(lp.constraints):
         row = {j: a for j, a in enumerate(con.coeffs) if a}
         b = con.rhs - sum((a * lower[j] for j, a in row.items()), _ZERO)
         if con.relation == ">=":
             row, b = {j: -a for j, a in row.items()}, -b
-        start.append(slack if con.relation != "=" and b >= 0 else None)
-        if con.relation != "=":
-            row[slack] = _ONE
-            slack += 1
+        row[n + r] = _ONE
         rows.append(row)
         rhs.append(b)
+        upper.append(_ZERO if con.relation == "=" else None)
 
-    simplex = _Simplex(rows, rhs, width + [None] * (slack - len(width)), start)
-    if not simplex.phase_one():
+    simplex = _Simplex(rows, rhs, upper, costs + [_ZERO] * len(rows))
+    if not simplex.solve():
         return LPSolution("infeasible")
-    sense = 1 if lp.direction == "min" else -1
-    if simplex.phase_two({j: sense * c for j, c in enumerate(lp.objective) if c}) == "unbounded":
+    if any(simplex.at_upper[j] and simplex.z[j] for j in grown):
         return LPSolution("unbounded")
     assignment = {v.name: v.lower + simplex.column_value(j) for j, v in enumerate(lp.variables)}
     _verify_solution(lp, assignment)

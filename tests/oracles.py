@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from dodgsonyoung import Graph, Profile, graph, set_family
 from dodgsonyoung.lp import IntegerProgram, LinearProgram, Variable, linear_program, solve_lp
@@ -130,7 +130,7 @@ def random_bounded_ilp(rng: random.Random, max_vars: int = 12, max_range: int = 
     return IntegerProgram(lp, frozenset(name for name, _, _ in variables))
 
 
-def random_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
+def random_lp(rng: random.Random, max_vars: int = 5, max_rows: int = 4) -> LinearProgram:
     nv = rng.randint(1, max_vars)
     variables = []
     for i in range(nv):
@@ -139,7 +139,7 @@ def random_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
         variables.append((f"v{i}", lo, hi))
     objective = [rng.randint(-5, 5) for _ in range(nv)]
     constraints = []
-    for _ in range(rng.randint(0, 4)):
+    for _ in range(rng.randint(0, max_rows)):
         coeffs = [rng.randint(-4, 4) for _ in range(nv)]
         rel = rng.choice(("<=", ">=", "="))
         rhs = rng.randint(-8, 8)
@@ -147,12 +147,50 @@ def random_lp(rng: random.Random, max_vars: int = 5) -> LinearProgram:
     return linear_program(rng.choice(("min", "max")), variables, objective, constraints)
 
 
-def random_lp_any_bounds(rng: random.Random, max_vars: int = 4) -> LinearProgram:
+def random_lp_any_bounds(rng: random.Random, max_vars: int = 4, max_rows: int = 4) -> LinearProgram:
     """`random_lp` with each upper bound dropped with probability 1/2: variables
     are boxed (fixed when the box is a point) or bounded below only."""
-    lp = random_lp(rng, max_vars)
+    lp = random_lp(rng, max_vars, max_rows)
     variables = tuple(Variable(v.name, v.lower, rng.choice((v.upper, None))) for v in lp.variables)
     return LinearProgram(lp.direction, variables, lp.objective, lp.constraints)
+
+
+def _solve_square(rows):
+    """The unique solution of the square system [A | b] in Fractions, or None."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def vertices(lp: LinearProgram) -> list[list[Fraction]]:
+    """Every vertex of lp's feasible region, by brute force: each choice of n
+    hyperplanes among the rows and the finite bounds, solved exactly and kept
+    when it satisfies every row and bound."""
+    n = len(lp.variables)
+    planes = [(*con.coeffs, con.rhs) for con in lp.constraints]
+    for j, var in enumerate(lp.variables):
+        unit = [Fraction(int(i == j)) for i in range(n)]
+        planes += [(*unit, bound) for bound in (var.lower, var.upper) if bound is not None]
+    found = []
+    for chosen in combinations(planes, n):
+        point = _solve_square(chosen)
+        if point is None or point in found:
+            continue
+        if all(v.lower <= x and (v.upper is None or x <= v.upper) for x, v in zip(point, lp.variables)):
+            lhs = [sum(a * x for a, x in zip(con.coeffs, point)) for con in lp.constraints]
+            if all({"<=": l <= con.rhs, ">=": l >= con.rhs, "=": l == con.rhs}[con.relation]
+                   for l, con in zip(lhs, lp.constraints)):
+                found.append(point)
+    return found
 
 
 def _float_program(lp: LinearProgram):

@@ -8,7 +8,7 @@ import pytest
 
 from dodgsonyoung import SCHEMES, Profile, parse_profile
 from dodgsonyoung import lp as lp_module
-from dodgsonyoung.homogeneous import dodgson_star_program, young_star_program
+from dodgsonyoung.homogeneous import young_star_program
 from dodgsonyoung.lp import (
     Constraint,
     IntegerProgram,
@@ -25,6 +25,7 @@ from oracles import (
     random_lp,
     random_lp_any_bounds,
     scipy_linprog,
+    vertices,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -118,6 +119,25 @@ class TestSolveLP:
         assert sol.objective_value == F(-1, 20)
         check_feasible(BEALE, sol.assignment)
 
+    def test_transposed_beale_is_dual_degenerate_and_terminates(self):
+        # The LP dual of BEALE: min w3 s.t. A^T w >= -c, w >= 0.  The start is
+        # dual degenerate, since w1 and w2 cost nothing.
+        lp = linear_program(
+            "min",
+            [("w1", 0, None), ("w2", 0, None), ("w3", 0, None)],
+            [0, 0, 1],
+            [
+                ([F(1, 4), F(1, 2), 0], ">=", F(3, 4)),
+                ([-60, -90, 0], ">=", -150),
+                ([F(-1, 25), F(-1, 50), 1], ">=", F(1, 50)),
+                ([9, 3, 0], ">=", -6),
+            ],
+        )
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.objective_value == F(1, 20)
+        check_feasible(lp, sol.assignment)
+
     def test_random_lps_exact_feasibility(self):
         rng = random.Random(4040)
         statuses = set()
@@ -145,34 +165,26 @@ class TestSolveLP:
                 assert res.status == 2
         assert checked > 20
 
-    def test_every_variable_kind_against_scipy(self, monkeypatch):
+    def test_every_variable_kind_against_scipy(self):
         # Boxed, fixed and lower-only variables, with "unbounded" matched to
-        # scipy status 3.  Rows start basic in their slack or in an
-        # artificial, and many programs mix both start kinds.
+        # scipy status 3.  A lower-only column whose cost rewards growth gets
+        # the artificial bound, and every outcome occurs among those programs.
         scipy_opt = pytest.importorskip("scipy.optimize")
-        starts = []
-        init = lp_module._Simplex.__init__
-
-        def recorded(self, rows, rhs, col_upper, start):
-            starts.append(start)
-            init(self, rows, rhs, col_upper, start)
-
-        monkeypatch.setattr(lp_module._Simplex, "__init__", recorded)
         rng = random.Random(626)
         statuses = Counter()
+        grown = Counter()
         kinds = set()
-        mixed = 0
         for _ in range(200):
             lp = random_lp_any_bounds(rng)
             kinds.update(
                 "lower-only" if v.upper is None else "fixed" if v.lower == v.upper else "boxed"
                 for v in lp.variables
             )
-            starts.clear()
             sol = solve_lp(lp)
-            mixed += {col is None for col in starts[0]} == {True, False}
             sense, res = scipy_linprog(scipy_opt, lp)
             statuses[sol.status] += 1
+            if any(v.upper is None and sense * c < 0 for v, c in zip(lp.variables, lp.objective)):
+                grown[sol.status] += 1
             if sol.status == "optimal":
                 assert res.status == 0
                 assert abs(sense * res.fun - float(sol.objective_value)) < 1e-7
@@ -181,7 +193,27 @@ class TestSolveLP:
                 assert res.status == {"infeasible": 2, "unbounded": 3}[sol.status]
         assert kinds == {"boxed", "fixed", "lower-only"}
         assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 10
-        assert mixed > 40
+        assert min(grown[s] for s in ("optimal", "infeasible", "unbounded")) > 10
+
+    def test_artificial_bound_exceeds_every_vertex(self):
+        # Exact vertex enumeration, no scipy: every vertex coordinate, measured
+        # from its lower bound, stays below the bound given to a lower-only
+        # column whose cost rewards growth.  Rows are divided by 1-3 so that
+        # the integer scaling is exercised.
+        rng = random.Random(1313)
+        checked = 0
+        for _ in range(100):
+            lp = random_lp_any_bounds(rng, max_vars=3, max_rows=3)
+            rows = []
+            for con in lp.constraints:
+                d = rng.randint(1, 3)
+                rows.append(Constraint(tuple(a / d for a in con.coeffs), con.relation, con.rhs / d))
+            lp = LinearProgram(lp.direction, lp.variables, lp.objective, tuple(rows))
+            bound = lp_module._artificial_bound(lp)
+            for vertex in vertices(lp):
+                assert all(x - v.lower < bound for x, v in zip(vertex, lp.variables))
+                checked += 1
+        assert checked > 100
 
 
 class TestSolveILP:
@@ -340,11 +372,11 @@ class TestPivotCounts:
         return count
 
     def test_beale(self, pivots):
-        assert pivots(lambda: solve_lp(BEALE)) == 6
+        assert pivots(lambda: solve_lp(BEALE)) == 5
 
     @pytest.mark.parametrize(
         "fixture, expected",
-        [("cycle", [7, 5, 3, 8]), ("young_ranking14", [300, 147, 91, 56])],
+        [("cycle", [3, 6, 3, 3]), ("young_ranking14", [339, 80, 66, 71])],
     )
     def test_scheme_scores_on_fixtures(self, pivots, fixture, expected):
         profile = parse_profile((FIXTURES / f"{fixture}.elect").read_text())
@@ -362,37 +394,12 @@ class TestPivotCounts:
             name: sum(pivots(lambda: scheme.scores(p)) for p in profiles)
             for name, scheme in SCHEMES.items()
         }
-        assert totals == {"dodgson": 258, "young": 781, "dodgson-star": 210, "young-star": 590}
+        assert totals == {"dodgson": 177, "young": 179, "dodgson-star": 187, "young-star": 138}
 
-    def test_phase_one_pivots_only_for_rows_infeasible_at_the_lower_bounds(self, monkeypatch):
-        # Young*'s rows are ">= 0", so every row starts from its slack and
-        # phase 1 makes no pivot.  Dodgson*'s only rival row (">= 1/2" on CYCLE)
-        # needs an artificial, which one pivot drives out; its capacity rows
-        # ("<= count") start from their slacks.
-        phase_one = lp_module._Simplex.phase_one
-        pivot = lp_module._Simplex._pivot
-        calls, per_solve = [], []
-
-        def counted_pivot(self, *args):
-            calls.append(None)
-            return pivot(self, *args)
-
-        def counted_phase_one(self):
-            before = len(calls)
-            feasible = phase_one(self)
-            per_solve.append(len(calls) - before)
-            return feasible
-
-        monkeypatch.setattr(lp_module._Simplex, "_pivot", counted_pivot)
-        monkeypatch.setattr(lp_module._Simplex, "phase_one", counted_phase_one)
-        profile = parse_profile((FIXTURES / "cycle.elect").read_text())
-
-        def phase_one_pivots(program):
-            per_solve.clear()
-            assert solve_lp(program).status == "optimal"
-            return list(per_solve)
-
-        young = [phase_one_pivots(young_star_program(profile, c)) for c in profile.candidates]
-        assert young == [[0], [0], [0]]
-        dodgson = [phase_one_pivots(dodgson_star_program(profile, c)) for c in profile.candidates]
-        assert dodgson == [[1], [1], [1]]
+    def test_no_pivot_when_the_cost_preferred_start_satisfies_every_row(self, pivots):
+        # Young* of a keeps every voter: each column starts at its upper bound
+        # (the count), where both ">= 0" rival rows already hold.
+        profile = parse_profile("candidates: a b c\nvoter 3: a > b > c\nvoter 2: b > c > a\n")
+        program = young_star_program(profile, "a")
+        assert pivots(lambda: solve_lp(program)) == 0
+        assert solve_lp(program).objective_value == 5
