@@ -2,11 +2,16 @@
 brute-force oracles.
 
 Each score has one program, built by :func:`dodgson_rows` or
-:func:`young_rows`.  It groups identical voters into one bounded variable
-per distinct order (and lift, for Dodgson); with all multiplicities 1 this
-is exactly a 0/1 variable per voter.  The exact score solves it as an ILP at
-the strict majority threshold; its LP relaxation at the weak threshold is
-the starred score of :mod:`homogeneous`.  The oracle routes never touch the
+:func:`young_rows`.  A program sees an order only through a small key: the
+rivals c beats in it (Young) or the rivals above c, nearest first
+(Dodgson).  Orders with the same key form one group, and each group has one
+bounded variable (per lift, for Dodgson) counting its voters, so there are
+at most 2^(k-1) Young columns; Young rival rows that coincide are kept
+once.  This presolve is exact for the ILP and the LP, since a group's value
+splits back over its orders; witnesses are split back that way and stay per
+distinct order.  The exact score solves the program as an ILP at the strict
+majority threshold; its LP relaxation at the weak threshold is the starred
+score of :mod:`homogeneous`.  The oracle routes never touch the
 ILP machinery: Dodgson is a shortest-path search over the literal
 adjacent-swap graph, Young an exhaustive subset enumeration.  Winner and
 Ranking are the methods of a :class:`Scheme` row, ``DODGSON`` or ``YOUNG``.
@@ -84,54 +89,97 @@ def gain_matrix(profile: Profile, c: CandidateId):
     return table, {k: t.count(c, k) for k in profile.candidates if k != c}
 
 
-def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
-    """Lift program for c as the ``(variables, objective, constraints)`` of
-    :func:`linear_program`.
+def _merge(keyed):
+    """Merge ``(key, g, count)`` entries that share a key: one ``(key, members)``
+    pair per key by first appearance, members being its ``(g, count)`` entries."""
+    groups: dict = {}
+    for key, g, count in keyed:
+        groups.setdefault(key, []).append((g, count))
+    return list(groups.items())
 
-    Variable ``m[g,j]`` counts the voters of distinct order g in which c is
-    lifted j positions; it costs j swaps per voter.  Each rival must end up
-    with at least ``floor(n/2)+1`` voters preferring c (the strict majority
-    of the exact score) or, when ``weak``, ``n/2`` (its closure, whose LP
-    value is the starred score).
-    """
+
+def _split(members, values):
+    """Split a merged group's column values back onto its ``(g, count)`` members:
+    fill the orders by first appearance, each up to its count, one column after
+    the other.  Yields ``(g, column index, count)``."""
+    left = [count for _, count in members]
+    i = 0
+    for col, value in enumerate(values):
+        while value:
+            share = min(left[i], value)
+            yield members[i][0], col, share
+            left[i] -= share
+            value -= share
+            if not left[i]:
+                i += 1
+
+
+def _dodgson_program(profile: Profile, c: CandidateId, weak: bool):
+    """:func:`dodgson_rows` and its groups: ``(passed, members)`` per column group."""
     table, baseline = gain_matrix(profile, c)
     n = profile.num_voters
     thr = Fraction(n, 2) if weak else majority_threshold(n)
-    cols = [(g, j, gains) for g, entry in enumerate(table) for j, gains in enumerate(entry[2], 1)]
-    variables = [(f"m[{g},{j}]", 0, table[g][1]) for g, j, _ in cols]
+    groups = _merge((passed, g, count) for g, (_, count, passed) in enumerate(table) if passed)
+    caps = [sum(count for _, count in members) for _, members in groups]
+    cols = [(h, j, gains) for h, (passed, _) in enumerate(groups) for j, gains in enumerate(passed, 1)]
+    variables = [(f"m[{h},{j}]", 0, caps[h]) for h, j, _ in cols]
     objective = [j for _, j, _ in cols]
     constraints = [
-        ([1 if h == g else 0 for h, _, _ in cols], "<=", count)
-        for g, (_, count, passed) in enumerate(table)
-        if passed
+        ([1 if col == h else 0 for col, _, _ in cols], "<=", caps[h])
+        for h, (passed, _) in enumerate(groups)
+        if len(passed) > 1
     ]
     for k, have in baseline.items():
         if thr > have:
             constraints.append(([1 if k in gains else 0 for _, _, gains in cols], ">=", thr - have))
-    return variables, objective, constraints
+    return (variables, objective, constraints), groups
+
+
+def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
+    """Lift program for c as the ``(variables, objective, constraints)`` of
+    :func:`linear_program`.
+
+    Orders with the same rivals above c, nearest first (the same ``passed``
+    in :func:`gain_matrix`), form one group.  Variable ``m[h,j]`` counts the
+    voters of group h in which c is lifted j positions; it costs j swaps per
+    voter and is bounded by the group's voters, which a capacity row shares
+    out over the lifts when there are two or more.  Each rival must end up
+    with at least ``floor(n/2)+1`` voters preferring c (the strict majority
+    of the exact score) or, when ``weak``, ``n/2`` (its closure, whose LP
+    value is the starred score).  No two rival rows coincide: each lift
+    passes one more rival, so two rivals above c never share a column set.
+    """
+    return _dodgson_program(profile, c, weak)[0]
+
+
+def _young_program(profile: Profile, c: CandidateId, weak: bool):
+    """:func:`young_rows` and its groups: ``(beaten, members)`` per column."""
+    _require_candidate(profile, c)
+    _require_voters(profile)
+    rivals = tuple(name for name in profile.candidates if name != c)
+    groups = _merge(
+        (tuple(order.index(c) < order.index(k) for k in rivals), g, count)
+        for g, (order, count) in enumerate(_order_counts(profile).items())
+    )
+    variables = [(f"y[{h}]", 0, sum(count for _, count in members)) for h, (_, members) in enumerate(groups)]
+    objective = [1] * len(groups)
+    rhs = 0 if weak else 1
+    rows = dict.fromkeys(tuple(1 if beaten[i] else -1 for beaten, _ in groups) for i in range(len(rivals)))
+    constraints = [(list(coeffs), ">=", rhs) for coeffs in rows]
+    return (variables, objective, constraints), groups
 
 
 def young_rows(profile: Profile, c: CandidateId, *, weak: bool):
     """Keep program for c as the ``(variables, objective, constraints)`` of
     :func:`linear_program`.
 
-    Variable ``y[g]`` counts the kept voters of distinct order g.  Against
-    every rival, supporters of c minus opponents among the kept voters must
-    be at least 1 (a strict majority) or, when ``weak``, 0 (its closure,
-    whose LP value is the starred score).
+    Orders in which c beats the same rivals form one group.  Variable
+    ``y[h]`` counts the kept voters of group h.  Against every rival,
+    supporters of c minus opponents among the kept voters must be at least
+    1 (a strict majority) or, when ``weak``, 0 (its closure, whose LP value
+    is the starred score); rivals with the same row share one.
     """
-    _require_candidate(profile, c)
-    _require_voters(profile)
-    counts = _order_counts(profile)
-    rivals = tuple(name for name in profile.candidates if name != c)
-    variables = [(f"y[{g}]", 0, count) for g, count in enumerate(counts.values())]
-    objective = [1] * len(counts)
-    rhs = 0 if weak else 1
-    constraints = [
-        ([1 if order.index(c) < order.index(k) else -1 for order in counts], ">=", rhs)
-        for k in rivals
-    ]
-    return variables, objective, constraints
+    return _young_program(profile, c, weak)[0]
 
 
 def _integer_program(direction: str, rows) -> IntegerProgram:
@@ -146,18 +194,22 @@ def dodgson_score(profile: Profile, c: CandidateId) -> int:
 
 
 def dodgson_score_with_moves(profile: Profile, c: CandidateId):
-    """Score plus a witness: a ``(group, lift, count)`` triple for each nonzero
-    ``m[g,j]``, lifting c ``lift`` positions in ``count`` voters of the g-th
-    distinct order (by first appearance, as in :func:`gain_matrix`)."""
-    sol = solve_ilp(_integer_program("min", dodgson_rows(profile, c, weak=False)))
+    """Score plus a witness: sorted ``(group, lift, count)`` triples, each lifting
+    c ``lift`` positions in ``count`` voters of the g-th distinct order (by
+    first appearance, as in :func:`gain_matrix`).  Each merged ``m[h,j]`` is
+    split back over its group's orders by :func:`_split`."""
+    rows, groups = _dodgson_program(profile, c, False)
+    sol = solve_ilp(_integer_program("min", rows))
     if sol.status != "optimal":  # pragma: no cover - always feasible for n >= 1
         raise RuntimeError("internal: Dodgson program must be feasible")
-    moves = (
-        (g, j, int(sol.assignment[f"m[{g},{j}]"]))
-        for g, order in enumerate(_order_counts(profile))
-        for j in range(1, order.index(c) + 1)
+    moves = sorted(
+        (g, col + 1, count)
+        for h, (passed, members) in enumerate(groups)
+        for g, col, count in _split(
+            members, [int(sol.assignment[f"m[{h},{j}]"]) for j in range(1, len(passed) + 1)]
+        )
     )
-    return int(sol.objective_value), tuple(move for move in moves if move[2])
+    return int(sol.objective_value), tuple(moves)
 
 
 def apply_moves(profile: Profile, c: CandidateId, moves) -> Profile:
@@ -260,14 +312,19 @@ def young_score(profile: Profile, c: CandidateId) -> int:
 
 
 def young_score_with_subset(profile: Profile, c: CandidateId):
-    """Score plus a witness: a ``(group, count)`` pair for each nonzero
-    ``y[g]``, keeping ``count`` voters of the g-th distinct order."""
-    ip = _integer_program("max", young_rows(profile, c, weak=False))
-    sol = solve_ilp(ip)
+    """Score plus a witness: sorted ``(group, count)`` pairs, each keeping
+    ``count`` voters of the g-th distinct order.  Each merged ``y[h]`` is
+    split back over its group's orders by :func:`_split`."""
+    rows, groups = _young_program(profile, c, False)
+    sol = solve_ilp(_integer_program("max", rows))
     if sol.status == "infeasible":
         return 0, ()
-    kept = enumerate(int(sol.assignment[var.name]) for var in ip.base.variables)
-    return int(sol.objective_value), tuple((g, count) for g, count in kept if count)
+    kept = sorted(
+        (g, count)
+        for h, (_, members) in enumerate(groups)
+        for g, _, count in _split(members, [int(sol.assignment[f"y[{h}]"])])
+    )
+    return int(sol.objective_value), tuple(kept)
 
 
 def validate_young_witness(profile: Profile, c: CandidateId, score: int, kept) -> bool:

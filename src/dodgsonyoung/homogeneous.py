@@ -1,9 +1,10 @@
 """Fishburn-limit ("starred") Dodgson and Young scores via exact linear programs.
 
 The starred score of a candidate is lim_{q->inf} score(qV)/q.  Its program
-is the LP relaxation of the grouped exact program (see
-:func:`exact.dodgson_rows` and :func:`exact.young_rows`) with the strict
-majority threshold closed to a weak one.  Under q-fold replication the
+is the LP relaxation of the exact program (see :func:`exact.dodgson_rows`
+and :func:`exact.young_rows`, which merge orders with the same rivals above
+c or the same rivals beaten, and Young's duplicate rival rows) with the
+strict majority threshold closed to a weak one.  Under q-fold replication the
 integer threshold exceeds the weak one by at most 1/2 vote, a gap whose
 per-q share vanishes in the limit, so the relaxation attains the limit
 exactly.  Consequently a starred score is 0 (Dodgson) or n (Young)

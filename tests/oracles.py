@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from dodgsonyoung import Graph, Profile, graph, set_family
+from dodgsonyoung import Graph, Profile, gain_matrix, graph, set_family
+from dodgsonyoung.exact import majority_threshold
 from dodgsonyoung.lp import IntegerProgram, LinearProgram, Variable, linear_program, solve_lp
 
 CANDIDATE_POOL = ("a", "b", "c", "d", "e", "f")
@@ -246,6 +247,42 @@ def scipy_milp(scipy_opt, lp: LinearProgram):
         constraints = scipy_opt.LinearConstraint(list(coeffs), list(lows), list(highs))
     res = scipy_opt.milp(costs, integrality=[1] * len(costs), bounds=box, constraints=constraints)
     return sense, res
+
+
+def per_order_dodgson_rows(profile: Profile, c: str, *, weak: bool):
+    """Reference lift program with no merging: one column ``m[g,j]`` per distinct
+    order g and lift j, a capacity row per order that can lift c, and one
+    majority row per rival still short of the threshold."""
+    table, baseline = gain_matrix(profile, c)
+    n = profile.num_voters
+    thr = Fraction(n, 2) if weak else majority_threshold(n)
+    cols = [(g, j, gains) for g, entry in enumerate(table) for j, gains in enumerate(entry[2], 1)]
+    variables = [(f"m[{g},{j}]", 0, table[g][1]) for g, j, _ in cols]
+    objective = [j for _, j, _ in cols]
+    constraints = [
+        ([1 if h == g else 0 for h, _, _ in cols], "<=", count)
+        for g, (_, count, passed) in enumerate(table)
+        if passed
+    ]
+    for k, have in baseline.items():
+        if thr > have:
+            constraints.append(([1 if k in gains else 0 for _, _, gains in cols], ">=", thr - have))
+    return variables, objective, constraints
+
+
+def per_order_young_rows(profile: Profile, c: str, *, weak: bool):
+    """Reference keep program with no merging: one column ``y[g]`` per distinct
+    order g and one row per rival."""
+    counts: dict = {}
+    for order, mult in profile.voters:
+        counts[order] = counts.get(order, 0) + mult
+    variables = [(f"y[{g}]", 0, count) for g, count in enumerate(counts.values())]
+    constraints = [
+        ([1 if order.index(c) < order.index(k) else -1 for order in counts], ">=", 0 if weak else 1)
+        for k in profile.candidates
+        if k != c
+    ]
+    return variables, [1] * len(counts), constraints
 
 
 def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:

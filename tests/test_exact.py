@@ -30,8 +30,14 @@ from dodgsonyoung.exact import (
     dodgson_rows,
     young_rows,
 )
-from dodgsonyoung.lp import linear_program, solve_lp
-from oracles import random_profile, scipy_linprog, scipy_milp
+from dodgsonyoung.lp import IntegerProgram, linear_program, solve_ilp, solve_lp
+from oracles import (
+    per_order_dodgson_rows,
+    per_order_young_rows,
+    random_profile,
+    scipy_linprog,
+    scipy_milp,
+)
 
 CYCLE = parse_profile("candidates: A B C\nvoter: A > B > C\nvoter: B > C > A\nvoter: C > A > B\n")
 SINGLE = parse_profile("candidates: c d e\nvoter: c > d > e\n")
@@ -298,6 +304,74 @@ class TestWitnessValidation:
         assert young_score_with_subset(HUGE, "a") == (99999999999999, ((0, 99999999999999),))
         lifted = apply_moves(HUGE, "b", ((0, 1, 50000000000000),))
         assert lifted.voters == ((("a", "b"), 49999999999999), (("b", "a"), 50000000000000))
+
+
+class TestMergedPrograms:
+    """The row builders merge the orders a program cannot tell apart (Young: the
+    rivals c beats; Dodgson: the rivals above c) and Young's duplicate rival
+    rows (Dodgson has none); `oracles.per_order_*_rows` build the unmerged
+    reference programs."""
+
+    @staticmethod
+    def _optimum(sense, rows, weak):
+        lp = linear_program(sense, *rows)
+        sol = solve_lp(lp) if weak else solve_ilp(IntegerProgram(lp, frozenset(v.name for v in lp.variables)))
+        return sol.status, sol.objective_value
+
+    def test_same_optimum_and_replayable_witnesses_on_a_seeded_grid(self):
+        rng = random.Random(1995)
+        programs = shrunk = 0
+        for i in range(36):
+            k = 3 + i % 4
+            candidates = tuple("abcdef"[:k])
+            entries = tuple(
+                (tuple(rng.sample(candidates, k)), rng.randint(1, 4)) for _ in range(rng.randint(2, 10))
+            )
+            p = Profile(candidates, entries)
+            for c in candidates:
+                for sense, merged, reference in (
+                    ("min", dodgson_rows, per_order_dodgson_rows),
+                    ("max", young_rows, per_order_young_rows),
+                ):
+                    for weak in (False, True):
+                        rows, ref = merged(p, c, weak=weak), reference(p, c, weak=weak)
+                        rival_rows = [tuple(a) for a, rel, _ in rows[2] if rel == ">="]
+                        assert len(set(rival_rows)) == len(rival_rows)
+                        assert self._optimum(sense, rows, weak) == self._optimum(sense, ref, weak)
+                        programs += 1
+                        shrunk += len(rows[0]) < len(ref[0]) or len(rows[2]) < len(ref[2])
+                score, moves = dodgson_score_with_moves(p, c)
+                assert list(moves) == sorted(moves)
+                assert validate_dodgson_witness(p, c, score, moves)
+                score, kept = young_score_with_subset(p, c)
+                assert list(kept) == sorted(kept)
+                assert validate_young_witness(p, c, score, kept)
+        assert (programs, shrunk) == (648, 526)
+
+    def test_merged_value_splits_across_orders_of_different_multiplicity(self):
+        # Young of a: both a-first orders beat b and c (one column, bound 2 + 3),
+        # both a-last orders beat neither (one column, bound 3 + 2), and the two
+        # rival rows are the same row.  The optimum keeps 5 and 4 voters; the 4
+        # fill order 1 (3 voters) and then one voter of order 3.
+        p = parse_profile(
+            "candidates: a b c\nvoter 2: a > b > c\nvoter 3: b > c > a\n"
+            "voter 3: a > c > b\nvoter 2: c > b > a\n"
+        )
+        variables, _, constraints = young_rows(p, "a", weak=False)
+        assert [(name, upper) for name, _, upper in variables] == [("y[0]", 5), ("y[1]", 5)]
+        assert constraints == [([1, -1], ">=", 1)]
+        score, kept = young_score_with_subset(p, "a")
+        assert (score, kept) == (9, ((0, 2), (1, 3), (2, 3), (3, 1)))
+        assert validate_young_witness(p, "a", score, kept)
+        # Dodgson of a: both orders have b just above a (one column m[0,1],
+        # bound 1 + 2, no capacity row); two lifts split 1 + 1.
+        p = parse_profile("candidates: a b c d\nvoter: b > a > c > d\nvoter 2: b > a > d > c\n")
+        variables, _, constraints = dodgson_rows(p, "a", weak=False)
+        assert [(name, upper) for name, _, upper in variables] == [("m[0,1]", 3)]
+        assert constraints == [([1], ">=", 2)]
+        score, moves = dodgson_score_with_moves(p, "a")
+        assert (score, moves) == (2, ((0, 1, 1), (1, 1, 1)))
+        assert validate_dodgson_witness(p, "a", score, moves)
 
 
 class TestNoVoterExpansion:

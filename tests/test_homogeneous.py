@@ -41,18 +41,19 @@ class TestDodgsonStarProgram:
     def test_structure_matches_move_encoding(self):
         prog = dodgson_star_program(CYCLE, "A")
         table, _ = gain_matrix(CYCLE, "A")
-        # one column per (distinct order, lift), bounded by the order's multiplicity
+        # one column per (group of orders with the same rivals above A, lift),
+        # bounded by the group's voters; here every group is a single order
+        groups = list(dict.fromkeys(passed for _, _, passed in table if passed))
         names = [v.name for v in prog.variables]
-        assert names == [
-            f"m[{g},{j}]" for g, entry in enumerate(table) for j in range(1, len(entry[2]) + 1)
-        ]
-        assert names == ["m[1,1]", "m[1,2]", "m[2,1]"]
+        assert names == [f"m[{h},{j}]" for h, passed in enumerate(groups) for j in range(1, len(passed) + 1)]
+        assert names == ["m[0,1]", "m[0,2]", "m[1,1]"]
         assert list(prog.objective) == [1, 2, 1]
         for var in prog.variables:
             assert var.lower == 0 and var.upper == 1
-        # one capacity row per order that can lift c, no stay-put equalities
+        # a capacity row only for a group with two or more lifts: B > C > A;
+        # C > A > B has one lift, whose bound is its capacity
         le_rows = [con for con in prog.constraints if con.relation == "<="]
-        assert [con.rhs for con in le_rows] == [1, 1]
+        assert [(list(con.coeffs), con.rhs) for con in le_rows] == [([1, 1, 0], 1)]
         assert not any(con.relation == "=" for con in prog.constraints)
         # one weak-majority row per rival still short of n/2: only C (w_C = 1)
         ge_rows = [con for con in prog.constraints if con.relation == ">="]

@@ -376,7 +376,7 @@ class TestPivotCounts:
 
     @pytest.mark.parametrize(
         "fixture, expected",
-        [("cycle", [3, 6, 3, 3]), ("young_ranking14", [339, 80, 66, 71])],
+        [("cycle", [3, 6, 3, 3]), ("young_ranking14", [339, 44, 66, 34])],
     )
     def test_scheme_scores_on_fixtures(self, pivots, fixture, expected):
         profile = parse_profile((FIXTURES / f"{fixture}.elect").read_text())
@@ -394,7 +394,7 @@ class TestPivotCounts:
             name: sum(pivots(lambda: scheme.scores(p)) for p in profiles)
             for name, scheme in SCHEMES.items()
         }
-        assert totals == {"dodgson": 177, "young": 179, "dodgson-star": 187, "young-star": 138}
+        assert totals == {"dodgson": 165, "young": 89, "dodgson-star": 172, "young-star": 74}
 
     def test_no_pivot_when_the_cost_preferred_start_satisfies_every_row(self, pivots):
         # Young* of a keeps every voter: each column starts at its upper bound

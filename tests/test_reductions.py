@@ -19,12 +19,14 @@ from dodgsonyoung import (
     parse_set_family,
     serialize_profile,
     set_family,
+    validate_young_witness,
     verify_reduction_chain,
     young_ranking,
     young_score_bruteforce,
     young_score_with_subset,
 )
 from dodgsonyoung import reductions
+from dodgsonyoung.exact import young_rows
 from dodgsonyoung.cli import run
 from dodgsonyoung.reductions import (
     SetFamilyInstance,
@@ -318,6 +320,29 @@ class TestVerifyChain:
         amp = amplify_for_winner(p, "c", "d")
         scores = young_scores_bruteforce_all(amp)
         assert scores["c"] >= max(scores.values())
+
+    def test_sixteen_vertex_pair_merged_program_sizes_and_scores(self):
+        # The seed-0 pair of G(16, 1/2) graphs: 66 voters in 36 distinct orders
+        # and 118 candidates.  Merging orders by the rivals c (or d) beats and
+        # collapsing identical rival rows leaves 19 columns and 47/71 rows
+        # (36 columns and 117 rows per order and rival).
+        rng = random.Random(0)
+        names = [f"v{i}" for i in range(16)]
+
+        def gnp():
+            pairs = [(names[i], names[j]) for i in range(16) for j in range(i + 1, 16)]
+            return graph(names, [e for e in pairs if rng.random() < 0.5])
+
+        red = mspc_to_young_ranking(inc_to_mspc(gnp(), gnp()))
+        p = red.profile
+        assert (p.num_voters, len(p.voters), len(p.candidates)) == (66, 36, 118)
+        sizes = [(len(v), len(rows)) for v, _, rows in (young_rows(p, x, weak=False) for x in (red.c, red.d))]
+        assert sizes == [(19, 47), (19, 71)]
+        for x, k in ((red.c, red.kappa1), (red.d, red.kappa2)):
+            score, kept = young_score_with_subset(p, x)
+            assert score == 2 * k + 1
+            assert validate_young_witness(p, x, score, kept)
+        assert (red.kappa1, red.kappa2) == (5, 4)
 
     def test_guard_propagates(self):
         with pytest.raises(ValueError, match="exceed 2"):
