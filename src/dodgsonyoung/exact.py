@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Callable
 
 from .errors import CapExceededError
-from .lp import IntegerProgram, linear_program, solve_ilp
+from .lp import IntegerProgram, LinearProgram, linear_program, solve_ilp
 from .profiles import CandidateId, PreferenceOrder, Profile, condorcet_winner, tally
 
 
@@ -180,6 +180,106 @@ def young_rows(profile: Profile, c: CandidateId, *, weak: bool):
     is the starred score); rivals with the same row share one.
     """
     return _young_program(profile, c, weak)[0]
+
+
+def dodgson_certificate(program: LinearProgram):
+    """A ``(point, duals)`` certificate for a lift program built from
+    :func:`dodgson_rows`, at either threshold, or None when the greedy below
+    misses the deficit bound.
+
+    The duals are 1 on every rival row and 0 on the capacity rows.  They
+    prove the deficit bound, the sum of the rival rows' right-hand sides: a
+    lift of j positions passes j rivals, so it covers at most j rival rows at
+    cost j.  A lift that passes only rivals still short of their row fills
+    one unit of each of its j rows per voter, at cost j, so a point made of
+    such lifts that fills every row exactly costs the bound.  The greedy
+    takes the deepest such lift over all groups (the columns of one capacity
+    row, or a lone column), in a batch of the smaller of its group's voters
+    left and the smallest shortfall it passes, until no lift qualifies.  A
+    batch ends a group or a shortfall, so the steps do not depend on the
+    voter counts.
+    """
+    cons = program.constraints
+    rival = [r for r, con in enumerate(cons) if con.relation == ">="]
+    short = {r: cons[r].rhs for r in rival}
+    covers = [[r for r in rival if cons[r].coeffs[j]] for j in range(len(program.variables))]
+    # A column's group is its capacity row, or the column alone.
+    group = [-1 - j for j in range(len(program.variables))]
+    left = {-1 - j: var.upper for j, var in enumerate(program.variables)}
+    for r, con in enumerate(cons):
+        if con.relation == "<=":
+            for j, a in enumerate(con.coeffs):
+                if a:
+                    group[j] = r
+            left[r] = con.rhs
+    # Lifts whose cost the duals meet: every rival they pass has a row.
+    fair = [j for j, cost in enumerate(program.objective) if cost == len(covers[j])]
+    point = [0] * len(program.variables)
+    while True:
+        ok = [j for j in fair if left[group[j]] and all(short[r] for r in covers[j])]
+        if not ok:
+            break
+        j = max(ok, key=lambda j: program.objective[j])
+        step = min([left[group[j]]] + [short[r] for r in covers[j]])
+        point[j] += step
+        left[group[j]] -= step
+        for r in covers[j]:
+            short[r] -= step
+    if any(short.values()):
+        return None
+    return point, [int(con.relation == ">=") for con in cons]
+
+
+def young_certificate(program: LinearProgram):
+    """A ``(point, duals)`` certificate for a keep program built from
+    :func:`young_rows`, at either threshold, or None when the greedy below
+    misses the bound.
+
+    With N the voters of the columns that support c in a rival row of
+    right-hand side b, that row alone allows at most 2N - b kept voters; the
+    duals are 1 on the row with the least such bound, or all 0 when keeping
+    all n voters is no more.  The greedy starts from every voter kept and
+    removes n minus the bound of them.  A row's slack is its surplus plus the
+    removals left; it starts at the row's bound minus the target, falls by 2
+    per removed supporter and stays put per removed opponent, and while it is
+    not negative the removals left can still satisfy the row.  Among the
+    groups that support c in no row of slack 0, the greedy takes the one that
+    opposes c in the most rows still short, then the one that supports c in
+    the fewest rows, in a batch that ends the group, the removals, or the
+    slack of a row it supports.  So the steps do not depend on the voter
+    counts, and at the end every row holds.
+    """
+    cons = program.constraints
+    kept = [var.upper for var in program.variables]
+    supports = [[con.coeffs[h] > 0 for con in cons] for h in range(len(kept))]
+    n = sum(kept)
+    bounds = [
+        2 * sum(u for u, up in zip(kept, supports) if up[r]) - con.rhs for r, con in enumerate(cons)
+    ]
+    target = min([n] + bounds)
+    if target < 0:
+        return None
+    duals = [0] * len(cons)
+    if target < n:
+        duals[bounds.index(target)] = 1
+    left = n - target
+    slack = [b - target for b in bounds]
+    while left:
+        best, rank = -1, None
+        for h, voters in enumerate(kept):
+            if not voters or any(up and not s for up, s in zip(supports[h], slack)):
+                continue
+            short = sum(1 for up, s in zip(supports[h], slack) if not up and s < left)
+            key = (short, -sum(supports[h]))
+            if rank is None or key > rank:
+                best, rank = h, key
+        if best < 0:
+            return None
+        step = min([kept[best], left] + [s / 2 for up, s in zip(supports[best], slack) if up])
+        kept[best] -= step
+        left -= step
+        slack = [s - 2 * step if up else s for up, s in zip(supports[best], slack)]
+    return kept, duals
 
 
 def _integer_program(direction: str, rows) -> IntegerProgram:

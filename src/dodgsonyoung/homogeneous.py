@@ -12,6 +12,13 @@ precisely on weak Condorcet winners, where ties are allowed.  Replication
 scales every bound and right-hand side by q and leaves the rows and columns
 as they are, so the program size does not depend on q.
 
+Each score first tries a certificate (:func:`exact.dodgson_certificate`,
+:func:`exact.young_certificate`): a greedy point and a dual vector whose
+bound is the one-tally deficit bound (Dodgson*) or min(n, 2 N(c,k))
+(Young*).  `solve_lp` checks both exactly and returns the point when its
+value meets the bound; otherwise, when the greedy misses or the bound is
+not the optimum, it runs the simplex.
+
 ``SCHEMES`` maps each scheme name to its :class:`exact.Scheme` row: the two
 exact rows and the starred rows defined here.
 """
@@ -30,8 +37,11 @@ def dodgson_star_program(profile: Profile, c: CandidateId) -> LinearProgram:
 
 
 def dodgson_star_score(profile: Profile, c: CandidateId) -> Fraction:
-    """Value of the weak-threshold lift LP; equals lim dodgson_score(qV)/q."""
-    sol = solve_lp(dodgson_star_program(profile, c))
+    """Value of the weak-threshold lift LP; equals lim dodgson_score(qV)/q.
+    Certified by the greedy of :func:`exact.dodgson_certificate` when it
+    meets the deficit bound, solved by the simplex otherwise."""
+    program = dodgson_star_program(profile, c)
+    sol = solve_lp(program, exact.dodgson_certificate(program))
     if sol.status != "optimal":  # pragma: no cover - lifting everything is feasible
         raise RuntimeError("internal: Dodgson* program must be feasible")
     return sol.objective_value
@@ -43,8 +53,11 @@ def young_star_program(profile: Profile, c: CandidateId) -> LinearProgram:
 
 
 def young_star_score(profile: Profile, c: CandidateId) -> Fraction:
-    """Value of the weak-threshold keep LP; equals lim young_score(qV)/q."""
-    sol = solve_lp(young_star_program(profile, c))
+    """Value of the weak-threshold keep LP; equals lim young_score(qV)/q.
+    Certified by the greedy of :func:`exact.young_certificate` when it meets
+    min(n, 2 N(c,k)), solved by the simplex otherwise."""
+    program = young_star_program(profile, c)
+    sol = solve_lp(program, exact.young_certificate(program))
     if sol.status != "optimal":  # pragma: no cover - zero weights are feasible
         raise RuntimeError("internal: Young* program must be feasible")
     return sol.objective_value

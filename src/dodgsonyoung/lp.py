@@ -11,6 +11,13 @@ is a Fraction, so feasibility and optimality hold exactly; there is no
 tolerance anywhere.  The program types turn ints into Fractions and reject
 floats when they are built.  Simplex rows are sparse: each holds only its
 nonzero entries.
+
+A caller that already knows a good point can pass it to `solve_lp` with a
+dual vector as a certificate.  The point is checked by substitution and the
+dual vector by `dual_bound`, with Fraction sums alone; when the point's
+value meets the bound, weak duality proves it optimal and no simplex is
+built.  Otherwise the program is solved as usual, so a bad certificate
+costs time, never correctness.
 """
 from __future__ import annotations
 
@@ -220,7 +227,7 @@ def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None
             raise RuntimeError(f"internal: bound violation on {var.name}")
     values = [assignment[v.name] for v in lp.variables]
     for con in lp.constraints:
-        lhs = sum((a * x for a, x in zip(con.coeffs, values) if a != 0), _ZERO)
+        lhs = sum((a * x for a, x in zip(con.coeffs, values) if a and x), _ZERO)
         ok = (
             lhs <= con.rhs
             if con.relation == "<="
@@ -255,8 +262,52 @@ def _artificial_bound(lp: LinearProgram) -> int:
     return bound + 1
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
+def dual_bound(lp: LinearProgram, duals) -> Fraction | None:
+    """The bound on lp's optimum that the multipliers ``duals`` (one per
+    constraint) prove: a lower bound for ``min``, an upper bound for ``max``.
+
+    With ``sense`` = -1 for ``max``, rows read as ``>=`` (a ``<=`` row
+    negated) and r = sense * c - A^T y, every feasible x has
+    sense * c.x >= b.y + r.x, and r.x is smallest with each column at the
+    bound its r prefers.  So the bound is b.y plus r_j times the lower bound
+    where r_j >= 0, or times the upper bound where r_j < 0.  None when a
+    multiplier is negative, a nonzero one sits on an ``=`` row, or a column
+    with r_j < 0 has no upper bound.
+    """
+    if len(duals) != len(lp.constraints):
+        raise ValueError("one multiplier per constraint expected")
+    sense = 1 if lp.direction == "min" else -1
+    reduced = list(lp.objective) if sense > 0 else [-c for c in lp.objective]
+    total = _ZERO
+    for con, y in zip(lp.constraints, map(frac, duals)):
+        if y < 0 or (y and con.relation == "="):
+            return None
+        if not y:
+            continue
+        if con.relation == "<=":
+            y = -y
+        total += y * con.rhs
+        for j, a in enumerate(con.coeffs):
+            if a:
+                reduced[j] -= a if y == 1 else y * a
+    for var, r in zip(lp.variables, reduced):
+        if r > 0:
+            total += r * var.lower
+        elif r < 0:
+            if var.upper is None:
+                return None
+            total += r * var.upper
+    return sense * total
+
+
+def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
     """Solve exactly; an optimal solution is re-verified by substitution.
+
+    ``certificate`` is an optional ``(point, duals)`` pair: a value per
+    variable and a multiplier per constraint.  An infeasible point is a
+    caller's bug and raises.  A feasible point whose value equals
+    ``dual_bound(lp, duals)`` is optimal and is returned at once; any other
+    certificate is ignored.
 
     Column j is variable j minus its lower bound, of width upper - lower; a
     negative width (crossed bounds) makes the program infeasible.  A column
@@ -267,6 +318,15 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     every optimum of the bounded program lies beyond every vertex of lp and
     lp is unbounded, or the reduced costs prove the point optimal for lp.
     """
+    if certificate is not None:
+        point, duals = certificate
+        if len(point) != len(lp.variables):
+            raise ValueError("one value per variable expected")
+        assignment = {v.name: frac(x) for v, x in zip(lp.variables, point)}
+        _verify_solution(lp, assignment)
+        value = _objective_value(lp, assignment)
+        if value == dual_bound(lp, duals):
+            return LPSolution("optimal", assignment, value)
     lower = [v.lower for v in lp.variables]
     upper = [None if v.upper is None else v.upper - v.lower for v in lp.variables]
     if any(u is not None and u < 0 for u in upper):
@@ -299,8 +359,11 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         return LPSolution("unbounded")
     assignment = {v.name: v.lower + simplex.column_value(j) for j, v in enumerate(lp.variables)}
     _verify_solution(lp, assignment)
-    value = sum((c * assignment[v.name] for c, v in zip(lp.objective, lp.variables)), _ZERO)
-    return LPSolution("optimal", assignment, value)
+    return LPSolution("optimal", assignment, _objective_value(lp, assignment))
+
+
+def _objective_value(lp: LinearProgram, assignment: dict[str, Fraction]) -> Fraction:
+    return sum((c * assignment[v.name] for c, v in zip(lp.objective, lp.variables)), _ZERO)
 
 
 def _with_bounds(lp: LinearProgram, overrides: dict[int, tuple[Fraction, Fraction]]) -> LinearProgram:

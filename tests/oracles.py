@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from dodgsonyoung import Graph, Profile, gain_matrix, graph, set_family
 from dodgsonyoung.exact import majority_threshold
@@ -11,6 +11,18 @@ from dodgsonyoung.lp import IntegerProgram, LinearProgram, Variable, linear_prog
 
 CANDIDATE_POOL = ("a", "b", "c", "d", "e", "f")
 INF = float("inf")
+
+
+def ic_grid(seed: int) -> list[Profile]:
+    """The six ic-distinct benchmark cells (k 4-6, n 15-31) drawn from
+    ``random.Random(seed)``: every order distinct."""
+    rng = random.Random(seed)
+    profiles = []
+    for k, n in ((4, 15), (4, 23), (5, 15), (5, 31), (6, 15), (6, 31)):
+        candidates = tuple("abcdef"[:k])
+        orders = rng.sample(list(permutations(candidates)), n)
+        profiles.append(Profile(candidates, tuple((order, 1) for order in orders)))
+    return profiles
 
 
 def random_profile(rng: random.Random, max_candidates: int, max_voters: int,

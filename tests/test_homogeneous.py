@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
 from dodgsonyoung import (
     SCHEMES,
+    Profile,
     condorcet_winner,
     dodgson_score,
     dodgson_star_ranking,
@@ -25,11 +27,18 @@ from dodgsonyoung.homogeneous import (
     dodgson_star_program,
     young_star_program,
 )
-from oracles import per_voter_dodgson_star, per_voter_young_star, random_profile
+from dodgsonyoung.exact import dodgson_certificate, dodgson_rows, young_certificate
+from dodgsonyoung.lp import linear_program, solve_lp
+from oracles import ic_grid, per_voter_dodgson_star, per_voter_young_star, random_profile
 
 CYCLE = parse_profile("candidates: A B C\nvoter: A > B > C\nvoter: B > C > A\nvoter: C > A > B\n")
 SINGLE = parse_profile("candidates: c d e\nvoter: c > d > e\n")
 OPPOSED = parse_profile("candidates: c d\nvoter: c > d\nvoter: d > c\n")
+TWO_ORDER = parse_profile("candidates: a b c d\nvoter 100000: b > d > a > c\nvoter 100001: c > a > d > b\n")
+STARRED = (
+    ("dodgson-star", dodgson_star_program, dodgson_certificate),
+    ("young-star", young_star_program, young_certificate),
+)
 
 
 def is_weak_condorcet(profile, c):
@@ -141,6 +150,74 @@ class TestYoungStarScore:
         for con in prog.constraints:
             assert con.relation == ">=" and con.rhs == 0
             assert set(con.coeffs) <= {F(1), F(-1)}
+
+
+class TestCertificates:
+    def test_single_candidate(self):
+        p = Profile(("a",), ((("a",), 3),))
+        assert dodgson_certificate(dodgson_star_program(p, "a")) == ([], [])
+        assert young_certificate(young_star_program(p, "a")) == ([3], [])
+        assert (dodgson_star_score(p, "a"), young_star_score(p, "a")) == (0, 3)
+
+    def test_weak_condorcet_winner_needs_no_multiplier(self):
+        # c ties d: Dodgson* has no rival row and lifts nobody; Young* keeps both voters.
+        assert dodgson_certificate(dodgson_star_program(OPPOSED, "c")) == ([0], [])
+        assert young_certificate(young_star_program(OPPOSED, "c")) == ([1, 1], [0])
+
+    def test_rival_no_voter_ranks_below_c(self):
+        p = parse_profile("candidates: a b c\nvoter 3: a > b > c\nvoter 2: b > a > c\n")
+        # Both rivals are 5/2 short: lift c over both in 5/2 voters of the first order.
+        point, duals = dodgson_certificate(dodgson_star_program(p, "c"))
+        assert (point, duals) == ([0, F(5, 2), 0, 0], [0, 0, 1, 1])
+        # N(c, a) = N(c, b) = 0 (one shared row), so no voter may be kept.
+        assert young_certificate(young_star_program(p, "c")) == ([0], [1])
+        assert (dodgson_star_score(p, "c"), young_star_score(p, "c")) == (5, 0)
+
+    def test_two_order_profile_in_batches(self):
+        # Each greedy step ends a group, a shortfall or a row's slack, never a
+        # single voter: 10**15 times the voters give the same steps, scaled.
+        huge = replicate(TWO_ORDER, 10**15)
+        for c in TWO_ORDER.candidates:
+            for _, build, certify in STARRED:
+                program = build(TWO_ORDER, c)
+                point, duals = certify(program)
+                assert solve_lp(program, (point, duals)).objective_value == solve_lp(program).objective_value
+                assert certify(build(huge, c)) == ([10**15 * x for x in point], duals)
+
+    def test_dodgson_greedy_at_the_strict_threshold(self):
+        # The same greedy on the exact score's program: integer deficits give
+        # integer batches, and a certified point is an optimal set of lifts.
+        for p in ic_grid(0):
+            for c in p.candidates:
+                program = linear_program("min", *dodgson_rows(p, c, weak=False))
+                point, _ = dodgson_certificate(program)
+                assert all(x == int(x) for x in point)
+                assert sum(j * x for j, x in zip(program.objective, point)) == dodgson_score(p, c)
+
+    def test_certified_values_equal_the_simplex_and_hit_counts(self):
+        # The ic-distinct cells of seeds 0-2 and q-fold copies of six
+        # 5-order bases: every certified value is the certificate-free
+        # optimum, and the scores read it.
+        profiles = [p for seed in range(3) for p in ic_grid(seed)]
+        rng = random.Random(15)
+        for _ in range(6):
+            base = Profile(tuple("abcd"), tuple((o, 1) for o in rng.sample(list(permutations("abcd")), 5)))
+            profiles += [replicate(base, q) for q in (1, 2, 16)]
+        certified = {name: 0 for name, _, _ in STARRED}
+        pairs = 0
+        for p in profiles:
+            for c in p.candidates:
+                pairs += 1
+                for name, build, certify in STARRED:
+                    program = build(p, c)
+                    want = solve_lp(program).objective_value
+                    certificate = certify(program)
+                    if certificate is not None:
+                        certified[name] += 1
+                        assert solve_lp(program, certificate).objective_value == want
+                    assert SCHEMES[name].score(p, c) == want
+        assert pairs == 162
+        assert certified == {"dodgson-star": 159, "young-star": 155}
 
 
 class TestStarDeciders:

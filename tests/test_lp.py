@@ -1,19 +1,20 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from dodgsonyoung import SCHEMES, Profile, parse_profile
+from dodgsonyoung import SCHEMES, parse_profile
 from dodgsonyoung import lp as lp_module
-from dodgsonyoung.homogeneous import young_star_program
+from dodgsonyoung.exact import dodgson_certificate, young_certificate
+from dodgsonyoung.homogeneous import dodgson_star_program, young_star_program
 from dodgsonyoung.lp import (
     Constraint,
     IntegerProgram,
     LinearProgram,
     Variable,
+    dual_bound,
     frac,
     linear_program,
     solve_ilp,
@@ -21,6 +22,7 @@ from dodgsonyoung.lp import (
 )
 from oracles import (
     grid_solve_ilp,
+    ic_grid,
     random_bounded_ilp,
     random_lp,
     random_lp_any_bounds,
@@ -29,6 +31,9 @@ from oracles import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+STAR_PROGRAMS = {"dodgson-star": dodgson_star_program, "young-star": young_star_program}
+CERTIFICATES = {"dodgson-star": dodgson_certificate, "young-star": young_certificate}
+
 
 BEALE = linear_program(
     "min",
@@ -216,6 +221,75 @@ class TestSolveLP:
         assert checked > 100
 
 
+# min x1 + 2 x2, x1 + x2 >= 3, x1 <= 2 (a row), x1 in [0, 4], x2 >= 1:
+# the optimum is 4 at (2, 1).
+MIN_LP = linear_program(
+    "min",
+    [("x1", 0, 4), ("x2", 1, None)],
+    [1, 2],
+    [([1, 1], ">=", 3), ([1, 0], "<=", 2)],
+)
+# max 3x + 2y, x + y <= 4, x + 3y <= 6, 2x = 6, x in [0, 3], y >= 0:
+# the optimum is 11 at (3, 1).
+MAX_LP = linear_program(
+    "max",
+    [("x", 0, 3), ("y", 0, None)],
+    [3, 2],
+    [([1, 1], "<=", 4), ([1, 3], "<=", 6), ([2, 0], "=", 6)],
+)
+
+
+class TestDualBound:
+    def test_min_program_by_hand(self):
+        # y = (2, 1): the '<=' row reads -x1 >= -2, so the reduced costs are
+        # (1, 2) - 2 (1, 1) + (1, 0) = (0, 0) and the bound is 2*3 - 2 = 4.
+        assert dual_bound(MIN_LP, [2, 1]) == 4
+        # y = (1, 0): reduced costs (0, 1), and x2 >= 1 adds 1: 3 + 1 = 4.
+        assert dual_bound(MIN_LP, [1, 0]) == 4
+        # y = (2, 0): reduced costs (-1, 0), and x1 <= 4 takes 4: 6 - 4 = 2.
+        assert dual_bound(MIN_LP, [2, 0]) == 2
+        # y = 0: the costs themselves, at the lower bounds: 0 + 2*1 = 2.
+        assert dual_bound(MIN_LP, [0, 0]) == 2
+
+    def test_max_program_by_hand(self):
+        # 3x + 2y = 2 (x + y) + x <= 2*4 + 3 = 11
+        assert dual_bound(MAX_LP, [2, 0, 0]) == 11
+        # 3x + 2y <= 3 (x + y) = 12 (y's reduced cost -1 sits at its lower bound 0)
+        assert dual_bound(MAX_LP, [3, 0, 0]) == 12
+        # 3x + 2y = (x + 3y) * 2/3 + x * 7/3 <= 4 + 7 = 11
+        assert dual_bound(MAX_LP, [0, F(2, 3), 0]) == 11
+
+    def test_none_cases(self):
+        assert dual_bound(MIN_LP, [-1, 0]) is None  # a negative multiplier
+        assert dual_bound(MIN_LP, [3, 0]) is None  # x2 would need an upper bound
+        assert dual_bound(MAX_LP, [0, 0, 1]) is None  # a multiplier on an '=' row
+        assert dual_bound(MAX_LP, [1, 0, 0]) is None  # x has 2 left, y needs an upper bound
+        with pytest.raises(ValueError):
+            dual_bound(MIN_LP, [1])
+
+
+class TestCertificate:
+    def test_meeting_certificate_is_returned_without_a_pivot(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_Simplex", None)  # building one would fail
+        sol = solve_lp(MAX_LP, ([3, 1], [2, 0, 0]))
+        assert (sol.status, sol.objective_value, sol.assignment) == ("optimal", 11, {"x": 3, "y": 1})
+        assert solve_lp(MIN_LP, ([2, 1], [1, 0])).objective_value == 4
+
+    @pytest.mark.parametrize(
+        "certificate",
+        [([3, 1], [3, 0, 0]), ([3, 1], [1, 0, 0]), ([3, F(1, 2)], [2, 0, 0])],
+        ids=["loose-bound", "no-bound", "suboptimal-point"],
+    )
+    def test_other_certificates_fall_back_to_the_simplex(self, certificate):
+        assert solve_lp(MAX_LP, certificate) == solve_lp(MAX_LP)
+
+    def test_infeasible_point_raises(self):
+        with pytest.raises(RuntimeError, match="internal: "):
+            solve_lp(MIN_LP, ([0, 1], [1, 0]))
+        with pytest.raises(RuntimeError, match="internal: "):
+            solve_lp(MAX_LP, ([4, 0], [2, 0, 0]))
+
+
 class TestSolveILP:
     def test_round_down_relaxation(self):
         ip = IntegerProgram(linear_program("max", [("x", 0, F(5, 2))], [1], []), frozenset({"x"}))
@@ -371,6 +445,15 @@ class TestPivotCounts:
 
         return count
 
+    @staticmethod
+    def engine_pivots(pivots, name, profile):
+        """Pivots of one scheme's scores, a starred program solved by plain
+        `solve_lp`, with no certificate, so that the pin counts the engine."""
+        if name in STAR_PROGRAMS:
+            build = STAR_PROGRAMS[name]
+            return pivots(lambda: [solve_lp(build(profile, c)) for c in profile.candidates])
+        return pivots(lambda: SCHEMES[name].scores(profile))
+
     def test_beale(self, pivots):
         assert pivots(lambda: solve_lp(BEALE)) == 5
 
@@ -380,21 +463,36 @@ class TestPivotCounts:
     )
     def test_scheme_scores_on_fixtures(self, pivots, fixture, expected):
         profile = parse_profile((FIXTURES / f"{fixture}.elect").read_text())
-        assert [pivots(lambda: scheme.scores(profile)) for scheme in SCHEMES.values()] == expected
+        assert [self.engine_pivots(pivots, name, profile) for name in SCHEMES] == expected
 
     def test_scheme_scores_on_impartial_culture_grid(self, pivots):
-        # The ic-distinct benchmark cells, seed 0: every order distinct.
-        rng = random.Random(0)
-        profiles = []
-        for k, n in ((4, 15), (4, 23), (5, 15), (5, 31), (6, 15), (6, 31)):
-            candidates = tuple("abcdef"[:k])
-            orders = rng.sample(list(permutations(candidates)), n)
-            profiles.append(Profile(candidates, tuple((order, 1) for order in orders)))
         totals = {
-            name: sum(pivots(lambda: scheme.scores(p)) for p in profiles)
-            for name, scheme in SCHEMES.items()
+            name: sum(self.engine_pivots(pivots, name, p) for p in ic_grid(0)) for name in SCHEMES
         }
         assert totals == {"dodgson": 165, "young": 89, "dodgson-star": 172, "young-star": 74}
+
+    def test_certified_starred_scores_make_no_pivot(self, pivots):
+        # The greedy certificates settle every starred score of these inputs,
+        # so the starred schemes never build a simplex for them.
+        profiles = [parse_profile((FIXTURES / f"{f}.elect").read_text()) for f in ("cycle", "young_ranking14")]
+        profiles += ic_grid(0)
+        for name in STAR_PROGRAMS:
+            assert [pivots(lambda: SCHEMES[name].scores(p)) for p in profiles] == [0] * 8
+
+    @pytest.mark.parametrize("name", STAR_PROGRAMS)
+    def test_corrupted_certificate_falls_back_to_the_simplex(self, pivots, name):
+        build, certify = STAR_PROGRAMS[name], CERTIFICATES[name]
+        profile = parse_profile((FIXTURES / "young_ranking14.elect").read_text())
+        for c in profile.candidates:
+            program = build(profile, c)
+            point, duals = certify(program)
+            r = next((r for r, y in enumerate(duals) if y), None)
+            if r is None:
+                continue  # a weak Condorcet winner: every multiplier is 0
+            duals[r] = 0 if name == "dodgson-star" else 2
+            want = solve_lp(program).objective_value
+            assert pivots(lambda: solve_lp(program, (point, duals))) > 0
+            assert solve_lp(program, (point, duals)).objective_value == want
 
     def test_no_pivot_when_the_cost_preferred_start_satisfies_every_row(self, pivots):
         # Young* of a keeps every voter: each column starts at its upper bound
