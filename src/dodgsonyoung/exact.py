@@ -124,14 +124,18 @@ def _dodgson_program(profile: Profile, c: CandidateId, weak: bool):
     cols = [(h, j, gains) for h, (passed, _) in enumerate(groups) for j, gains in enumerate(passed, 1)]
     variables = [(f"m[{h},{j}]", 0, caps[h]) for h, j, _ in cols]
     objective = [j for _, j, _ in cols]
-    constraints = [
-        ([1 if col == h else 0 for col, _, _ in cols], "<=", caps[h])
-        for h, (passed, _) in enumerate(groups)
-        if len(passed) > 1
-    ]
-    for k, have in baseline.items():
-        if thr > have:
-            constraints.append(([1 if k in gains else 0 for _, _, gains in cols], ">=", thr - have))
+    constraints, start = [], 0
+    for h, (passed, _) in enumerate(groups):
+        if len(passed) > 1:
+            constraints.append((dict.fromkeys(range(start, start + len(passed)), 1), "<=", caps[h]))
+        start += len(passed)
+    # One pass over the columns: a lift's column joins the row of each rival it passes.
+    rival = {k: {} for k, have in baseline.items() if thr > have}
+    for col, (_, _, gains) in enumerate(cols):
+        for k in gains:
+            if k in rival:
+                rival[k][col] = 1
+    constraints += [(rival[k], ">=", thr - baseline[k]) for k in rival]
     return (variables, objective, constraints), groups
 
 
@@ -148,6 +152,11 @@ def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
     of the exact score) or, when ``weak``, ``n/2`` (its closure, whose LP
     value is the starred score).  No two rival rows coincide: each lift
     passes one more rival, so two rivals above c never share a column set.
+
+    Rows are ``{column: coefficient}`` mappings of their nonzeros: a capacity
+    row holds its group's lifts, and a rival row the lifts that pass that
+    rival, filled in one pass over the columns.  So the build costs the
+    program's nonzeros, not rows times columns.
     """
     return _dodgson_program(profile, c, weak)[0]
 
@@ -157,10 +166,13 @@ def _young_program(profile: Profile, c: CandidateId, weak: bool):
     _require_candidate(profile, c)
     _require_voters(profile)
     rivals = tuple(name for name in profile.candidates if name != c)
-    groups = _merge(
-        (tuple(order.index(c) < order.index(k) for k in rivals), g, count)
-        for g, (order, count) in enumerate(_order_counts(profile).items())
-    )
+
+    def key(order):
+        # c's position once per order: the rivals it beats come after it.
+        beaten = set(order[order.index(c) + 1 :])
+        return tuple(k in beaten for k in rivals)
+
+    groups = _merge((key(order), g, count) for g, (order, count) in enumerate(_order_counts(profile).items()))
     variables = [(f"y[{h}]", 0, sum(count for _, count in members)) for h, (_, members) in enumerate(groups)]
     objective = [1] * len(groups)
     rhs = 0 if weak else 1
@@ -177,7 +189,9 @@ def young_rows(profile: Profile, c: CandidateId, *, weak: bool):
     ``y[h]`` counts the kept voters of group h.  Against every rival,
     supporters of c minus opponents among the kept voters must be at least
     1 (a strict majority) or, when ``weak``, 0 (its closure, whose LP value
-    is the starred score); rivals with the same row share one.
+    is the starred score); rivals with the same row share one.  Every entry
+    of a row is +1 or -1, so the rows are dense lists: they are their
+    nonzeros already.
     """
     return _young_program(profile, c, weak)[0]
 
@@ -200,17 +214,19 @@ def dodgson_certificate(program: LinearProgram):
     voter counts.
     """
     cons = program.constraints
-    rival = [r for r, con in enumerate(cons) if con.relation == ">="]
-    short = {r: cons[r].rhs for r in rival}
-    covers = [[r for r in rival if cons[r].coeffs[j]] for j in range(len(program.variables))]
+    short = {}
+    covers = [[] for _ in program.variables]
     # A column's group is its capacity row, or the column alone.
     group = [-1 - j for j in range(len(program.variables))]
     left = {-1 - j: var.upper for j, var in enumerate(program.variables)}
     for r, con in enumerate(cons):
-        if con.relation == "<=":
-            for j, a in enumerate(con.coeffs):
-                if a:
-                    group[j] = r
+        if con.relation == ">=":
+            short[r] = con.rhs
+            for j, _ in con.coeffs:
+                covers[j].append(r)
+        elif con.relation == "<=":
+            for j, _ in con.coeffs:
+                group[j] = r
             left[r] = con.rhs
     # Lifts whose cost the duals meet: every rival they pass has a row.
     fair = [j for j, cost in enumerate(program.objective) if cost == len(covers[j])]
@@ -251,7 +267,10 @@ def young_certificate(program: LinearProgram):
     """
     cons = program.constraints
     kept = [var.upper for var in program.variables]
-    supports = [[con.coeffs[h] > 0 for con in cons] for h in range(len(kept))]
+    supports = [[False] * len(cons) for _ in kept]
+    for r, con in enumerate(cons):
+        for h, a in con.coeffs:
+            supports[h][r] = a > 0
     n = sum(kept)
     bounds = [
         2 * sum(u for u, up in zip(kept, supports) if up[r]) - con.rhs for r, con in enumerate(cons)

@@ -9,8 +9,10 @@ its own slack and every column at the bound its cost prefers, which is dual
 feasible, so there is one phase and no artificial column.  Every coefficient
 is a Fraction, so feasibility and optimality hold exactly; there is no
 tolerance anywhere.  The program types turn ints into Fractions and reject
-floats when they are built.  Simplex rows are sparse: each holds only its
-nonzero entries.
+floats when they are built.  Programs are sparse from end to end: a
+`Constraint` holds ``(column, coefficient)`` pairs of its nonzero entries,
+and each simplex row is a dict of them, so building, checking and solving a
+program cost its nonzeros, not rows times columns.
 
 A caller that already knows a good point can pass it to `solve_lp` with a
 dual vector as a certificate.  The point is checked by substitution and the
@@ -22,6 +24,7 @@ costs time, never correctness.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,6 +35,8 @@ RELATIONS = ("<=", "=", ">=")
 
 def frac(value) -> Fraction:
     """Coerce an int or Fraction; floats would break exactness and are rejected."""
+    if type(value) is int:  # the common case; the ABC check below is slower
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -55,14 +60,32 @@ class Variable:
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    """A row ``sum_j a_j x_j <relation> rhs``.
+
+    ``coeffs`` is given as a ``{column: coefficient}`` mapping or as a dense
+    sequence with one entry per variable, and is kept as the
+    ``(column, coefficient)`` pairs of its nonzero entries in ascending
+    column order.  Every entry is coerced before zeros are dropped, so a
+    float is rejected wherever it sits.  A dense row keeps its length in
+    ``width``, which the program checks against its variable count.
+    """
+
+    coeffs: tuple[tuple[int, Fraction], ...]
     relation: str
     rhs: Fraction
+    width: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.relation not in RELATIONS:
             raise ValueError(f"bad relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(frac(a) for a in self.coeffs))
+        if isinstance(self.coeffs, Mapping):
+            if not all(type(j) is int and j >= 0 for j in self.coeffs):
+                raise ValueError("constraint columns must be non-negative ints")
+            items = sorted(self.coeffs.items())
+        else:
+            items = list(enumerate(self.coeffs))
+            object.__setattr__(self, "width", len(items))
+        object.__setattr__(self, "coeffs", tuple((j, x) for j, a in items if (x := frac(a))))
         object.__setattr__(self, "rhs", frac(self.rhs))
 
 
@@ -81,14 +104,19 @@ class LinearProgram:
             raise ValueError("variable names must be unique")
         if len(self.objective) != len(self.variables):
             raise ValueError("objective length does not match variable count")
-        if any(len(con.coeffs) != len(self.variables) for con in self.constraints):
-            raise ValueError("constraint length does not match variable count")
+        n = len(self.variables)
+        for con in self.constraints:
+            if con.width is not None and con.width != n:
+                raise ValueError("constraint length does not match variable count")
+            if con.coeffs and con.coeffs[-1][0] >= n:
+                raise ValueError(f"constraint column {con.coeffs[-1][0]} out of range 0..{n - 1}")
         object.__setattr__(self, "objective", tuple(frac(c) for c in self.objective))
 
 
 def linear_program(direction, variables, objective, constraints=()) -> LinearProgram:
     """Convenience constructor: variables as (name, lower, upper), constraints
-    as (coeffs, relation, rhs)."""
+    as (coeffs, relation, rhs) with coeffs dense or a {column: coefficient}
+    mapping (see `Constraint`)."""
     return LinearProgram(
         direction,
         tuple(Variable(*var) for var in variables),
@@ -227,7 +255,7 @@ def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None
             raise RuntimeError(f"internal: bound violation on {var.name}")
     values = [assignment[v.name] for v in lp.variables]
     for con in lp.constraints:
-        lhs = sum((a * x for a, x in zip(con.coeffs, values) if a and x), _ZERO)
+        lhs = sum((a * values[j] for j, a in con.coeffs if values[j]), _ZERO)
         ok = (
             lhs <= con.rhs
             if con.relation == "<="
@@ -250,7 +278,7 @@ def _artificial_bound(lp: LinearProgram) -> int:
     """
     lower = [v.lower for v in lp.variables]
     rows = [
-        (*con.coeffs, con.rhs - sum((a * x for a, x in zip(con.coeffs, lower) if a), _ZERO))
+        (*(a for _, a in con.coeffs), con.rhs - sum((a * lower[j] for j, a in con.coeffs), _ZERO))
         for con in lp.constraints
     ]
     rows += [(_ONE, v.upper - v.lower) for v in lp.variables if v.upper is not None]
@@ -287,9 +315,8 @@ def dual_bound(lp: LinearProgram, duals) -> Fraction | None:
         if con.relation == "<=":
             y = -y
         total += y * con.rhs
-        for j, a in enumerate(con.coeffs):
-            if a:
-                reduced[j] -= a if y == 1 else y * a
+        for j, a in con.coeffs:
+            reduced[j] -= a if y == 1 else y * a
     for var, r in zip(lp.variables, reduced):
         if r > 0:
             total += r * var.lower
@@ -343,8 +370,8 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
     n = len(upper)
     rows, rhs = [], []
     for r, con in enumerate(lp.constraints):
-        row = {j: a for j, a in enumerate(con.coeffs) if a}
-        b = con.rhs - sum((a * lower[j] for j, a in row.items()), _ZERO)
+        row = dict(con.coeffs)
+        b = con.rhs - sum((a * lower[j] for j, a in row.items() if lower[j]), _ZERO)
         if con.relation == ">=":
             row, b = {j: -a for j, a in row.items()}, -b
         row[n + r] = _ONE

@@ -13,6 +13,14 @@ CANDIDATE_POOL = ("a", "b", "c", "d", "e", "f")
 INF = float("inf")
 
 
+def dense(con, n: int) -> list[Fraction]:
+    """A constraint's coefficients as a dense list over n variables, zeros included."""
+    row = [Fraction(0)] * n
+    for j, a in con.coeffs:
+        row[j] = a
+    return row
+
+
 def ic_grid(seed: int) -> list[Profile]:
     """The six ic-distinct benchmark cells (k 4-6, n 15-31) drawn from
     ``random.Random(seed)``: every order distinct."""
@@ -97,10 +105,11 @@ def grid_solve_ilp(ip: IntegerProgram):
         ranges.append(range(lo_int, hi_int + 1))
     best = None
     maximize = lp.direction == "max"
+    rows = [dense(con, len(lp.variables)) for con in lp.constraints]
     for point in product(*ranges):
         ok = True
-        for con in lp.constraints:
-            lhs = sum(a * x for a, x in zip(con.coeffs, point))
+        for con, coeffs in zip(lp.constraints, rows):
+            lhs = sum(a * x for a, x in zip(coeffs, point))
             if con.relation == "<=" and not lhs <= con.rhs:
                 ok = False
             elif con.relation == ">=" and not lhs >= con.rhs:
@@ -189,7 +198,8 @@ def vertices(lp: LinearProgram) -> list[list[Fraction]]:
     hyperplanes among the rows and the finite bounds, solved exactly and kept
     when it satisfies every row and bound."""
     n = len(lp.variables)
-    planes = [(*con.coeffs, con.rhs) for con in lp.constraints]
+    rows = [dense(con, n) for con in lp.constraints]
+    planes = [(*coeffs, con.rhs) for coeffs, con in zip(rows, lp.constraints)]
     for j, var in enumerate(lp.variables):
         unit = [Fraction(int(i == j)) for i in range(n)]
         planes += [(*unit, bound) for bound in (var.lower, var.upper) if bound is not None]
@@ -199,7 +209,7 @@ def vertices(lp: LinearProgram) -> list[list[Fraction]]:
         if point is None or point in found:
             continue
         if all(v.lower <= x and (v.upper is None or x <= v.upper) for x, v in zip(point, lp.variables)):
-            lhs = [sum(a * x for a, x in zip(con.coeffs, point)) for con in lp.constraints]
+            lhs = [sum(a * x for a, x in zip(coeffs, point)) for coeffs in rows]
             if all({"<=": l <= con.rhs, ">=": l >= con.rhs, "=": l == con.rhs}[con.relation]
                    for l, con in zip(lhs, lp.constraints)):
                 found.append(point)
@@ -215,7 +225,7 @@ def _float_program(lp: LinearProgram):
     for con in lp.constraints:
         rhs = float(con.rhs)
         low, high = {"<=": (-INF, rhs), ">=": (rhs, INF), "=": (rhs, rhs)}[con.relation]
-        rows.append(([float(x) for x in con.coeffs], low, high))
+        rows.append(([float(x) for x in dense(con, len(lp.variables))], low, high))
     return sense, costs, bounds, rows
 
 

@@ -29,6 +29,7 @@ from dodgsonyoung.homogeneous import DODGSON_STAR, YOUNG_STAR
 from dodgsonyoung.lp import linear_program, solve_ilp, solve_lp
 from dodgsonyoung.reductions import young_scores_bruteforce_all
 from oracles import (
+    dense,
     grid_solve_ilp,
     random_bounded_ilp,
     random_graph,
@@ -190,7 +191,7 @@ def _verify_exact(lp, assignment):
         assert val >= var.lower
         assert var.upper is None or val <= var.upper
     for con in lp.constraints:
-        lhs = sum(a * assignment[v.name] for a, v in zip(con.coeffs, lp.variables))
+        lhs = sum(a * assignment[v.name] for a, v in zip(dense(con, len(lp.variables)), lp.variables))
         assert (
             lhs <= con.rhs
             if con.relation == "<="

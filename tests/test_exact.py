@@ -368,7 +368,7 @@ class TestMergedPrograms:
         p = parse_profile("candidates: a b c d\nvoter: b > a > c > d\nvoter 2: b > a > d > c\n")
         variables, _, constraints = dodgson_rows(p, "a", weak=False)
         assert [(name, upper) for name, _, upper in variables] == [("m[0,1]", 3)]
-        assert constraints == [([1], ">=", 2)]
+        assert constraints == [({0: 1}, ">=", 2)]
         score, moves = dodgson_score_with_moves(p, "a")
         assert (score, moves) == (2, ((0, 1, 1), (1, 1, 1)))
         assert validate_dodgson_witness(p, "a", score, moves)

@@ -27,9 +27,9 @@ from dodgsonyoung.homogeneous import (
     dodgson_star_program,
     young_star_program,
 )
-from dodgsonyoung.exact import dodgson_certificate, dodgson_rows, young_certificate
+from dodgsonyoung.exact import dodgson_certificate, dodgson_rows, young_certificate, young_rows
 from dodgsonyoung.lp import linear_program, solve_lp
-from oracles import ic_grid, per_voter_dodgson_star, per_voter_young_star, random_profile
+from oracles import dense, ic_grid, per_voter_dodgson_star, per_voter_young_star, random_profile
 
 CYCLE = parse_profile("candidates: A B C\nvoter: A > B > C\nvoter: B > C > A\nvoter: C > A > B\n")
 SINGLE = parse_profile("candidates: c d e\nvoter: c > d > e\n")
@@ -62,7 +62,7 @@ class TestDodgsonStarProgram:
         # a capacity row only for a group with two or more lifts: B > C > A;
         # C > A > B has one lift, whose bound is its capacity
         le_rows = [con for con in prog.constraints if con.relation == "<="]
-        assert [(list(con.coeffs), con.rhs) for con in le_rows] == [([1, 1, 0], 1)]
+        assert [(dense(con, 3), con.rhs) for con in le_rows] == [([1, 1, 0], 1)]
         assert not any(con.relation == "=" for con in prog.constraints)
         # one weak-majority row per rival still short of n/2: only C (w_C = 1)
         ge_rows = [con for con in prog.constraints if con.relation == ">="]
@@ -149,7 +149,7 @@ class TestYoungStarScore:
         assert len(prog.constraints) == 2
         for con in prog.constraints:
             assert con.relation == ">=" and con.rhs == 0
-            assert set(con.coeffs) <= {F(1), F(-1)}
+            assert set(dense(con, 3)) <= {F(1), F(-1)}
 
 
 class TestCertificates:
@@ -274,6 +274,38 @@ class TestScaleInvariance:
 
 
 class TestProgramSize:
+    def test_four_schemes_on_the_seed_0_grid(self):
+        # Summed (rows, columns, nonzeros) of every candidate's program on the
+        # six seed-0 ic-distinct cells.  The nonzeros were counted on the dense
+        # rows the builders made before rows became sparse, so the sparse
+        # builders drop zeros and nothing else.
+        builders = {
+            "dodgson": lambda p, c: linear_program("min", *dodgson_rows(p, c, weak=False)),
+            "young": lambda p, c: linear_program("max", *young_rows(p, c, weak=False)),
+            "dodgson-star": dodgson_star_program,
+            "young-star": young_star_program,
+        }
+        sizes = {}
+        for name, build in builders.items():
+            rows = cols = nonzeros = 0
+            for p in ic_grid(0):
+                for c in p.candidates:
+                    lp = build(p, c)
+                    n = len(lp.variables)
+                    for con in lp.constraints:
+                        assert all(a for _, a in con.coeffs)
+                        assert len(con.coeffs) == sum(1 for a in dense(con, n) if a)
+                    rows += len(lp.constraints)
+                    cols += n
+                    nonzeros += sum(len(con.coeffs) for con in lp.constraints)
+            sizes[name] = (rows, cols, nonzeros)
+        assert sizes == {
+            "dodgson": (452, 1315, 2860),
+            "young": (124, 342, 1477),
+            "dodgson-star": (452, 1315, 2860),
+            "young-star": (124, 342, 1477),
+        }
+
     def test_rows_and_columns_do_not_depend_on_replication(self):
         rng = random.Random(79)
         for _ in range(10):

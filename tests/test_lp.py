@@ -21,6 +21,7 @@ from dodgsonyoung.lp import (
     solve_lp,
 )
 from oracles import (
+    dense,
     grid_solve_ilp,
     ic_grid,
     random_bounded_ilp,
@@ -53,7 +54,7 @@ def check_feasible(lp, assignment):
         assert val >= var.lower
         assert var.upper is None or val <= var.upper
     for con in lp.constraints:
-        lhs = sum(a * assignment[v.name] for a, v in zip(con.coeffs, lp.variables))
+        lhs = sum(a * assignment[v.name] for a, v in zip(dense(con, len(lp.variables)), lp.variables))
         if con.relation == "<=":
             assert lhs <= con.rhs
         elif con.relation == ">=":
@@ -212,7 +213,8 @@ class TestSolveLP:
             rows = []
             for con in lp.constraints:
                 d = rng.randint(1, 3)
-                rows.append(Constraint(tuple(a / d for a in con.coeffs), con.relation, con.rhs / d))
+                coeffs = dense(con, len(lp.variables))
+                rows.append(Constraint(tuple(a / d for a in coeffs), con.relation, con.rhs / d))
             lp = LinearProgram(lp.direction, lp.variables, lp.objective, tuple(rows))
             bound = lp_module._artificial_bound(lp)
             for vertex in vertices(lp):
@@ -381,6 +383,30 @@ class TestProgramTypes:
         with pytest.raises(ValueError, match="constraint length does not match variable count"):
             linear_program("min", [("x", 0, 1), ("y", 0, 1)], [1, 1], [([1], "<=", 1)])
 
+    def test_dense_and_mapping_rows_build_equal_constraints(self):
+        con = Constraint([0, 2, 0, F(-1, 3)], "<=", 3)
+        assert con.coeffs == ((1, F(2)), (3, F(-1, 3)))
+        assert all(type(a) is F for _, a in con.coeffs)
+        assert con == Constraint({3: F(-1, 3), 1: 2, 0: 0}, "<=", 3)
+        variables = [(name, 0, 1) for name in "wxyz"]
+        from_dense = linear_program("min", variables, [1] * 4, [([0, 2, 0, F(-1, 3)], "<=", 3)])
+        assert from_dense == linear_program("min", variables, [1] * 4, [({1: 2, 3: F(-1, 3)}, "<=", 3)])
+
+    def test_row_input_is_checked_before_zeros_drop(self):
+        for coeffs in ([0.0, 1], {0: 0.0, 1: 1}):
+            with pytest.raises(TypeError):
+                Constraint(coeffs, "<=", 1)
+            with pytest.raises(TypeError):
+                linear_program("min", [("x", 0, 1), ("y", 0, 1)], [1, 1], [(coeffs, "<=", 1)])
+        variables = [("x", 0, 1), ("y", 0, 1)]
+        for coeffs in ([1], [0], [1, 0, 0], {2: 1}, {-1: 1}, {"x": 1}):
+            with pytest.raises(ValueError):
+                linear_program("min", variables, [1, 1], [(coeffs, "<=", 1)])
+        x, y = Variable("x", 0, 1), Variable("y", 0, 1)
+        for con in (Constraint([1], "<=", 1), Constraint([1, 0, 0], "<=", 1), Constraint({2: 1}, "<=", 1)):
+            with pytest.raises(ValueError):
+                LinearProgram("min", (x, y), (F(1), F(1)), (con,))
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             frac(0.5)
@@ -417,7 +443,7 @@ class TestProgramTypes:
             (1, 1),
             (Constraint((2, 3), "<=", 7), Constraint((1, -1), ">=", 0)),
         )
-        assert all(type(a) is F for con in lp.constraints for a in (*con.coeffs, con.rhs))
+        assert all(type(a) is F for con in lp.constraints for a in (*dense(con, 2), con.rhs))
         assert all(type(a) is F for v in lp.variables for a in (v.lower, v.upper) if a is not None)
         sol = solve_lp(lp)
         assert (sol.objective_value, sol["x"], sol["y"]) == (F(10, 3), 3, F(1, 3))

@@ -269,6 +269,17 @@ class TestAmplify:
         with pytest.raises(ValueError, match="candidate name collision"):
             amplify_for_winner(p, "g^1", "d")
 
+    def test_young_rows_keep_their_size_on_the_amplified_profile(self):
+        # c (or d) beats every g^t exactly when it beats g, so amplifying adds
+        # only rival rows that coincide with g's row, and no column.
+        red = mspc_to_young_ranking(inc_to_mspc(STAR4, STAR3))
+        amp = amplify_for_winner(red.profile, red.c, red.d)
+        assert len(amp.candidates) > len(red.profile.candidates)
+        for x in (red.c, red.d):
+            plain = young_rows(red.profile, x, weak=False)
+            amplified = young_rows(amp, x, weak=False)
+            assert (len(amplified[0]), len(amplified[2])) == (len(plain[0]), len(plain[2]))
+
     def test_deterministic_bytes(self):
         p = parse_profile("candidates: c d g\nvoter: g > c > d\nvoter: c > d > g\n")
         assert serialize_profile(amplify_for_winner(p, "c", "d")) == serialize_profile(
