@@ -11,7 +11,7 @@ is a Fraction, so feasibility and optimality hold exactly; there is no
 tolerance anywhere.  The program types turn ints into Fractions and reject
 floats when they are built.  Programs are sparse from end to end: a
 `Constraint` holds ``(column, coefficient)`` pairs of its nonzero entries,
-and each simplex row is a dict of them, so building, checking and solving a
+and each simplex row starts as a dict of them, so building and checking a
 program cost its nonzeros, not rows times columns.
 
 A caller that already knows a good point can pass it to `solve_lp` with a
