@@ -224,7 +224,7 @@ def dodgson_certificate(program: LinearProgram):
             short[r] = con.rhs
             for j, _ in con.coeffs:
                 covers[j].append(r)
-        elif con.relation == "<=":
+        else:
             for j, _ in con.coeffs:
                 group[j] = r
             left[r] = con.rhs

@@ -1,18 +1,20 @@
 """Exact linear and integer programming over rationals.
 
-One bounded dual simplex with Bland's rule in dual form on the
-bounded-variable form ``lower <= x <= upper`` (every lower bound finite, an
-upper bound optional), plus a depth-first branch-and-bound wrapper for
-integer programs.  Column j of the simplex is variable j minus its lower
-bound, so it ranges over ``[0, upper - lower]``.  Every row starts basic in
-its own slack and every column at the bound its cost prefers, which is dual
-feasible, so there is one phase and no artificial column.  Every coefficient
-is a Fraction, so feasibility and optimality hold exactly; there is no
-tolerance anywhere.  The program types turn ints into Fractions and reject
-floats when they are built.  Programs are sparse from end to end: a
-`Constraint` holds ``(column, coefficient)`` pairs of its nonzero entries,
-and each simplex row starts as a dict of them, so building and checking a
-program cost its nonzeros, not rows times columns.
+One bounded dual simplex with Bland's rule in dual form on boxed programs,
+``lower <= x <= upper`` with both bounds finite and every row ``<=`` or
+``>=``, plus a depth-first branch-and-bound wrapper for integer programs.
+Every score program is boxed, since each of its variables counts voters, and
+a boxed program is either infeasible or has an optimum.  Column j of the
+simplex is variable j minus its lower bound, so it ranges over
+``[0, upper - lower]``.  Every row starts basic in its own slack and every
+column at the bound its cost prefers, which is dual feasible, so there is
+one phase and no artificial column.  Every coefficient is a Fraction, so
+feasibility and optimality hold exactly; there is no tolerance anywhere.
+The program types turn ints into Fractions and reject floats when they are
+built.  Programs are sparse from end to end: a `Constraint` holds
+``(column, coefficient)`` pairs of its nonzero entries, and each simplex row
+starts as a dict of them, so building and checking a program cost its
+nonzeros, not rows times columns.
 
 A caller that already knows a good point can pass it to `solve_lp` with a
 dual vector as a certificate.  The point is checked by substitution and the
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-RELATIONS = ("<=", "=", ">=")
+RELATIONS = ("<=", ">=")
 
 
 def frac(value) -> Fraction:
@@ -47,15 +49,14 @@ def frac(value) -> Fraction:
 @dataclass(frozen=True)
 class Variable:
     name: str
-    lower: Fraction = _ZERO
-    upper: Fraction | None = None
+    lower: Fraction
+    upper: Fraction
 
     def __post_init__(self) -> None:
-        if self.lower is None:
-            raise ValueError(f"variable {self.name!r} needs a finite lower bound")
-        object.__setattr__(self, "lower", frac(self.lower))
-        if self.upper is not None:
-            object.__setattr__(self, "upper", frac(self.upper))
+        for side in ("lower", "upper"):
+            if getattr(self, side) is None:
+                raise ValueError(f"variable {self.name!r} needs a finite {side} bound")
+            object.__setattr__(self, side, frac(getattr(self, side)))
 
 
 @dataclass(frozen=True)
@@ -131,18 +132,15 @@ class IntegerProgram:
     integral: frozenset[str]
 
     def __post_init__(self) -> None:
-        by_name = {v.name: v for v in self.base.variables}
+        names = {v.name for v in self.base.variables}
         for name in self.integral:
-            var = by_name.get(name)
-            if var is None:
+            if name not in names:
                 raise ValueError(f"integral variable {name!r} is not in the program")
-            if var.upper is None:
-                raise ValueError(f"integral variable {name!r} must have a finite upper bound")
 
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
+    status: str  # 'optimal' | 'infeasible'; a boxed program has no other outcome
     assignment: dict[str, Fraction] = field(default_factory=dict)
     objective_value: Fraction | None = None
 
@@ -165,8 +163,8 @@ class _Simplex:
     reads only the pivot row, and a pivot touches only the rows that hold the
     entering column.  Nonbasic columns sit at one of their bounds (`at_upper`
     flags the upper one), `beta` holds the value of each basic column and `z`
-    the reduced cost of every column.  A column with a negative cost needs a
-    finite upper bound; `solve_lp` gives one to a column that has none.
+    the reduced cost of every column.  Program columns are boxed; a slack's
+    upper bound is None, since no row bounds its surplus.
     """
 
     def __init__(self, rows, rhs, upper, costs):
@@ -251,43 +249,13 @@ class _Simplex:
 def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
     for var in lp.variables:
         val = assignment[var.name]
-        if val < var.lower or (var.upper is not None and val > var.upper):
+        if not var.lower <= val <= var.upper:
             raise RuntimeError(f"internal: bound violation on {var.name}")
     values = [assignment[v.name] for v in lp.variables]
     for con in lp.constraints:
         lhs = sum((a * values[j] for j, a in con.coeffs if values[j]), _ZERO)
-        ok = (
-            lhs <= con.rhs
-            if con.relation == "<="
-            else lhs >= con.rhs if con.relation == ">=" else lhs == con.rhs
-        )
-        if not ok:
+        if not (lhs <= con.rhs if con.relation == "<=" else lhs >= con.rhs):
             raise RuntimeError("internal: constraint violation in reported solution")
-
-
-def _artificial_bound(lp: LinearProgram) -> int:
-    """An integer above every coordinate of every vertex of lp, each measured
-    from its variable's lower bound.
-
-    A vertex solves a square system M of tight rows and bounds, with the
-    lower bounds shifted into the right-hand sides.  Scaled to integers,
-    |det M| >= 1, and by Cramer's rule and Hadamard's inequality each
-    coordinate is at most the product of the norms of those rows with their
-    right-hand sides appended.  The product over every row and every finite
-    upper bound, each norm rounded up, is at least that.
-    """
-    lower = [v.lower for v in lp.variables]
-    rows = [
-        (*(a for _, a in con.coeffs), con.rhs - sum((a * lower[j] for j, a in con.coeffs), _ZERO))
-        for con in lp.constraints
-    ]
-    rows += [(_ONE, v.upper - v.lower) for v in lp.variables if v.upper is not None]
-    bound = 1
-    for row in rows:
-        scale = math.lcm(*(a.denominator for a in row))
-        square = sum(int(a * scale) ** 2 for a in row)
-        bound *= math.isqrt(max(square - 1, 0)) + 1
-    return bound + 1
 
 
 def dual_bound(lp: LinearProgram, duals) -> Fraction | None:
@@ -299,8 +267,7 @@ def dual_bound(lp: LinearProgram, duals) -> Fraction | None:
     sense * c.x >= b.y + r.x, and r.x is smallest with each column at the
     bound its r prefers.  So the bound is b.y plus r_j times the lower bound
     where r_j >= 0, or times the upper bound where r_j < 0.  None when a
-    multiplier is negative, a nonzero one sits on an ``=`` row, or a column
-    with r_j < 0 has no upper bound.
+    multiplier is negative.
     """
     if len(duals) != len(lp.constraints):
         raise ValueError("one multiplier per constraint expected")
@@ -308,7 +275,7 @@ def dual_bound(lp: LinearProgram, duals) -> Fraction | None:
     reduced = list(lp.objective) if sense > 0 else [-c for c in lp.objective]
     total = _ZERO
     for con, y in zip(lp.constraints, map(frac, duals)):
-        if y < 0 or (y and con.relation == "="):
+        if y < 0:
             return None
         if not y:
             continue
@@ -321,8 +288,6 @@ def dual_bound(lp: LinearProgram, duals) -> Fraction | None:
         if r > 0:
             total += r * var.lower
         elif r < 0:
-            if var.upper is None:
-                return None
             total += r * var.upper
     return sense * total
 
@@ -337,13 +302,7 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
     certificate is ignored.
 
     Column j is variable j minus its lower bound, of width upper - lower; a
-    negative width (crossed bounds) makes the program infeasible.  A column
-    with no upper bound whose cost rewards growth is given the artificial
-    upper bound `_artificial_bound(lp)`, which no vertex reaches.  So the
-    bounded program is feasible exactly when lp is, and at its optimum either
-    such a column sits at that bound with a nonzero reduced cost, and then
-    every optimum of the bounded program lies beyond every vertex of lp and
-    lp is unbounded, or the reduced costs prove the point optimal for lp.
+    negative width (crossed bounds) makes the program infeasible.
     """
     if certificate is not None:
         point, duals = certificate
@@ -355,18 +314,13 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
         if value == dual_bound(lp, duals):
             return LPSolution("optimal", assignment, value)
     lower = [v.lower for v in lp.variables]
-    upper = [None if v.upper is None else v.upper - v.lower for v in lp.variables]
-    if any(u is not None and u < 0 for u in upper):
+    upper = [v.upper - v.lower for v in lp.variables]
+    if any(u < 0 for u in upper):
         return LPSolution("infeasible")
     sense = 1 if lp.direction == "min" else -1
     costs = [sense * c for c in lp.objective]
-    grown = [j for j, (u, c) in enumerate(zip(upper, costs)) if u is None and c < 0]
-    if grown:
-        bound = Fraction(_artificial_bound(lp))
-        for j in grown:
-            upper[j] = bound
-    # Row r gets slack column n + r with coefficient +1, fixed at 0 for an '='
-    # row; a '>=' row is negated first.
+    # Row r gets slack column n + r with coefficient +1; a '>=' row is
+    # negated first.
     n = len(upper)
     rows, rhs = [], []
     for r, con in enumerate(lp.constraints):
@@ -377,13 +331,10 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
         row[n + r] = _ONE
         rows.append(row)
         rhs.append(b)
-        upper.append(_ZERO if con.relation == "=" else None)
 
-    simplex = _Simplex(rows, rhs, upper, costs + [_ZERO] * len(rows))
+    simplex = _Simplex(rows, rhs, upper + [None] * len(rows), costs + [_ZERO] * len(rows))
     if not simplex.solve():
         return LPSolution("infeasible")
-    if any(simplex.at_upper[j] and simplex.z[j] for j in grown):
-        return LPSolution("unbounded")
     assignment = {v.name: v.lower + simplex.column_value(j) for j, v in enumerate(lp.variables)}
     _verify_solution(lp, assignment)
     return LPSolution("optimal", assignment, _objective_value(lp, assignment))
@@ -429,8 +380,6 @@ def solve_ilp(ip: IntegerProgram) -> LPSolution:
         sol = solve_lp(_with_bounds(lp, overrides))
         if sol.status == "infeasible":
             continue
-        if sol.status == "unbounded":
-            return LPSolution("unbounded")
         if best is not None:
             bound = sense * sol.objective_value
             if (math.ceil(bound) if can_round else bound) >= sense * best.objective_value:

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
+from math import prod
 
-from dodgsonyoung import Graph, Profile, gain_matrix, graph, set_family
+from dodgsonyoung import Graph, Profile, gain_matrix, graph, set_family, tally
 from dodgsonyoung.exact import majority_threshold
-from dodgsonyoung.lp import IntegerProgram, LinearProgram, Variable, linear_program, solve_lp
+from dodgsonyoung.lp import IntegerProgram, LinearProgram, linear_program, solve_lp
 
 CANDIDATE_POOL = ("a", "b", "c", "d", "e", "f")
 INF = float("inf")
@@ -110,13 +111,8 @@ def grid_solve_ilp(ip: IntegerProgram):
         ok = True
         for con, coeffs in zip(lp.constraints, rows):
             lhs = sum(a * x for a, x in zip(coeffs, point))
-            if con.relation == "<=" and not lhs <= con.rhs:
+            if not (lhs <= con.rhs if con.relation == "<=" else lhs >= con.rhs):
                 ok = False
-            elif con.relation == ">=" and not lhs >= con.rhs:
-                ok = False
-            elif con.relation == "=" and not lhs == con.rhs:
-                ok = False
-            if not ok:
                 break
         if not ok:
             continue
@@ -124,6 +120,12 @@ def grid_solve_ilp(ip: IntegerProgram):
         if best is None or (value > best if maximize else value < best):
             best = value
     return best
+
+
+def _rows(coeffs, rel, rhs):
+    """The rows of one drawn constraint: an ``=`` draw is a ``<=`` row and a
+    ``>=`` row, since programs have no ``=`` rows."""
+    return [(coeffs, r, rhs) for r in (("<=", ">=") if rel == "=" else (rel,))]
 
 
 def random_bounded_ilp(rng: random.Random, max_vars: int = 12, max_range: int = 6,
@@ -147,7 +149,7 @@ def random_bounded_ilp(rng: random.Random, max_vars: int = 12, max_range: int = 
         coeffs = [rng.choice((0, 0, 1, -1, 2, -2, 3, -3, 4, -4)) for _ in range(nv)]
         rel = rng.choice(("<=", ">=", "="))
         rhs = sum(a * x for a, x in zip(coeffs, anchor)) + rng.randint(-3, 3)
-        constraints.append((coeffs, rel, rhs))
+        constraints += _rows(coeffs, rel, rhs)
     lp = linear_program(rng.choice(("min", "max")), variables, objective, constraints)
     return IntegerProgram(lp, frozenset(name for name, _, _ in variables))
 
@@ -165,66 +167,19 @@ def random_lp(rng: random.Random, max_vars: int = 5, max_rows: int = 4) -> Linea
         coeffs = [rng.randint(-4, 4) for _ in range(nv)]
         rel = rng.choice(("<=", ">=", "="))
         rhs = rng.randint(-8, 8)
-        constraints.append((coeffs, rel, rhs))
+        constraints += _rows(coeffs, rel, rhs)
     return linear_program(rng.choice(("min", "max")), variables, objective, constraints)
-
-
-def random_lp_any_bounds(rng: random.Random, max_vars: int = 4, max_rows: int = 4) -> LinearProgram:
-    """`random_lp` with each upper bound dropped with probability 1/2: variables
-    are boxed (fixed when the box is a point) or bounded below only."""
-    lp = random_lp(rng, max_vars, max_rows)
-    variables = tuple(Variable(v.name, v.lower, rng.choice((v.upper, None))) for v in lp.variables)
-    return LinearProgram(lp.direction, variables, lp.objective, lp.constraints)
-
-
-def _solve_square(rows):
-    """The unique solution of the square system [A | b] in Fractions, or None."""
-    rows = [list(row) for row in rows]
-    n = len(rows)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col] / rows[col][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] / rows[i][i] for i in range(n)]
-
-
-def vertices(lp: LinearProgram) -> list[list[Fraction]]:
-    """Every vertex of lp's feasible region, by brute force: each choice of n
-    hyperplanes among the rows and the finite bounds, solved exactly and kept
-    when it satisfies every row and bound."""
-    n = len(lp.variables)
-    rows = [dense(con, n) for con in lp.constraints]
-    planes = [(*coeffs, con.rhs) for coeffs, con in zip(rows, lp.constraints)]
-    for j, var in enumerate(lp.variables):
-        unit = [Fraction(int(i == j)) for i in range(n)]
-        planes += [(*unit, bound) for bound in (var.lower, var.upper) if bound is not None]
-    found = []
-    for chosen in combinations(planes, n):
-        point = _solve_square(chosen)
-        if point is None or point in found:
-            continue
-        if all(v.lower <= x and (v.upper is None or x <= v.upper) for x, v in zip(point, lp.variables)):
-            lhs = [sum(a * x for a, x in zip(coeffs, point)) for coeffs in rows]
-            if all({"<=": l <= con.rhs, ">=": l >= con.rhs, "=": l == con.rhs}[con.relation]
-                   for l, con in zip(lhs, lp.constraints)):
-                found.append(point)
-    return found
 
 
 def _float_program(lp: LinearProgram):
     """lp as a float minimisation: (sense, costs, bounds, rows of (coeffs, low, high))."""
     sense = 1 if lp.direction == "min" else -1
     costs = [sense * float(x) for x in lp.objective]
-    bounds = [(float(v.lower), None if v.upper is None else float(v.upper)) for v in lp.variables]
+    bounds = [(float(v.lower), float(v.upper)) for v in lp.variables]
     rows = []
     for con in lp.constraints:
         rhs = float(con.rhs)
-        low, high = {"<=": (-INF, rhs), ">=": (rhs, INF), "=": (rhs, rhs)}[con.relation]
+        low, high = (-INF, rhs) if con.relation == "<=" else (rhs, INF)
         rows.append(([float(x) for x in dense(con, len(lp.variables))], low, high))
     return sense, costs, bounds, rows
 
@@ -232,12 +187,9 @@ def _float_program(lp: LinearProgram):
 def scipy_linprog(scipy_opt, lp: LinearProgram):
     """HiGHS on the same program as a minimisation: returns (sense, result)."""
     sense, costs, bounds, rows = _float_program(lp)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    a_ub, b_ub = [], []
     for coeffs, low, high in rows:
-        if low == high:
-            a_eq.append(coeffs)
-            b_eq.append(low)
-        elif high < INF:
+        if high < INF:
             a_ub.append(coeffs)
             b_ub.append(high)
         else:
@@ -247,8 +199,6 @@ def scipy_linprog(scipy_opt, lp: LinearProgram):
         costs,
         A_ub=a_ub or None,
         b_ub=b_ub or None,
-        A_eq=a_eq or None,
-        b_eq=b_eq or None,
         bounds=bounds,
         method="highs",
     )
@@ -259,10 +209,7 @@ def scipy_milp(scipy_opt, lp: LinearProgram):
     """HiGHS branch and cut on the same program with every variable integral:
     returns (sense, result)."""
     sense, costs, bounds, rows = _float_program(lp)
-    box = scipy_opt.Bounds(
-        [low for low, _ in bounds],
-        [INF if high is None else high for _, high in bounds],
-    )
+    box = scipy_opt.Bounds([low for low, _ in bounds], [high for _, high in bounds])
     constraints = None
     if rows:
         coeffs, lows, highs = zip(*rows)
@@ -307,12 +254,64 @@ def per_order_young_rows(profile: Profile, c: str, *, weak: bool):
     return variables, [1] * len(counts), constraints
 
 
+def dodgson_score_dp(profile: Profile, c: str, cap: int = 200_000) -> int:
+    """Reference Dodgson score by a dynamic program over the rivals' deficits,
+    sharing nothing with the lift rows or the ILP.
+
+    A rival k is short by n // 2 + 1 - N(c, k) voters.  An optimal set of
+    swaps lifts c some positions in each voter, and may as well stop each
+    lift just above a rival that is still short when that voter is reached:
+    passing a rival that is no longer short gains nothing.  So the voters are
+    taken one at a time, by distinct order, and each either stays or lifts c
+    just above one short rival, at a cost of the positions it climbs; the
+    state is the vector of deficits left, and its minimum cost is kept.  An
+    order takes at most as many lifts as the deficits sum to.  Raises
+    ValueError when the product of (deficit + 1) over the rivals, which bounds
+    the number of states, exceeds ``cap``.
+    """
+    counts = tally(profile)
+    need = profile.num_voters // 2 + 1
+    short = [k for k in profile.candidates if k != c and counts.count(c, k) < need]
+    start = tuple(need - counts.count(c, k) for k in short)
+    states = prod(d + 1 for d in start)
+    if states > cap:
+        raise ValueError(f"{states} deficit states exceed the cap {cap}")
+    index = {k: i for i, k in enumerate(short)}
+    orders: dict = {}
+    for order, mult in profile.voters:
+        orders[order] = orders.get(order, 0) + mult
+    best = {start: 0}
+    for order, count in orders.items():
+        pos = order.index(c)
+        # One lift per short rival above c: its cost and the short rivals it
+        # passes, the target last.
+        lifts = []
+        for top in range(pos - 1, -1, -1):
+            if order[top] in index:
+                passed = [index[k] for k in reversed(order[top:pos]) if k in index]
+                lifts.append((pos - top, passed))
+        for _ in range(min(count, sum(start))):
+            after = dict(best)
+            for state, cost in best.items():
+                for lift, passed in lifts:
+                    if not state[passed[-1]]:
+                        continue
+                    left = list(state)
+                    for i in passed:
+                        left[i] = max(left[i] - 1, 0)
+                    left, total = tuple(left), cost + lift
+                    if after.get(left, total + 1) > total:
+                        after[left] = total
+            best = after
+    return best[(0,) * len(short)]
+
+
 def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:
     """Reference Dodgson*: the lift-fraction LP with one row per expanded voter.
 
     x[i,j] is the share of voter i's replicas lifting c by j positions (j=0
-    stays put); each voter's shares sum to 1, and every rival needs n/2
-    voters preferring c.
+    stays put); each voter's shares sum to 1 (a ``<=`` and a ``>=`` row), and
+    every rival needs n/2 voters preferring c.
     """
     orders = profile.expanded()
     variables, objective, meta = [], [], []
@@ -321,7 +320,11 @@ def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:
             variables.append((f"x[{i + 1},{j}]", 0, 1))
             objective.append(j)
             meta.append((i, j))
-    constraints = [([1 if vi == i else 0 for vi, _ in meta], "=", 1) for i in range(len(orders))]
+    constraints = [
+        ([1 if vi == i else 0 for vi, _ in meta], relation, 1)
+        for i in range(len(orders))
+        for relation in ("<=", ">=")
+    ]
     for k in profile.candidates:
         if k == c:
             continue

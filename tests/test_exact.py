@@ -32,6 +32,8 @@ from dodgsonyoung.exact import (
 )
 from dodgsonyoung.lp import IntegerProgram, linear_program, solve_ilp, solve_lp
 from oracles import (
+    dodgson_score_dp,
+    ic_grid,
     per_order_dodgson_rows,
     per_order_young_rows,
     random_profile,
@@ -159,6 +161,17 @@ class TestDodgsonScore:
             p = random_profile(rng, 4, 5)
             c = rng.choice(p.candidates)
             assert dodgson_score(p, c) == dodgson_score_bruteforce(p, c)
+
+    def test_ilp_equals_deficit_dp_on_the_ic_grid(self):
+        # Past the swap search's cap (k <= 6, n <= 31): the deficit DP reads
+        # only the orders and the tally, not the lift rows.
+        pairs = [(p, c) for seed in range(3) for p in ic_grid(seed) for c in p.candidates]
+        assert len(pairs) == 90
+        for p, c in pairs:
+            assert dodgson_score(p, c) == dodgson_score_dp(p, c)
+        p, c = next((p, c) for p, c in pairs if dodgson_score(p, c) > 0)
+        with pytest.raises(ValueError, match="exceed the cap"):
+            dodgson_score_dp(p, c, cap=1)
 
 
 class TestYoungScore:
