@@ -11,7 +11,10 @@ once.  This presolve is exact for the ILP and the LP, since a group's value
 splits back over its orders; witnesses are split back that way and stay per
 distinct order.  The exact score solves the program as an ILP at the strict
 majority threshold; its LP relaxation at the weak threshold is the starred
-score of :mod:`homogeneous`.  The oracle routes never touch the
+score of :mod:`homogeneous`.  An exact Young score hands
+:func:`young_certificate` of its strict program to the root of branch and
+bound, so that when the one-row bound min(n, 2 N(c,k) - 1) is met by an
+integral point no simplex is built.  The oracle routes never touch the
 ILP machinery: Dodgson is a shortest-path search over the literal
 adjacent-swap graph, Young an exhaustive subset enumeration.  Winner and
 Ranking are the methods of a :class:`Scheme` row, ``DODGSON`` or ``YOUNG``.
@@ -433,9 +436,14 @@ def young_score(profile: Profile, c: CandidateId) -> int:
 def young_score_with_subset(profile: Profile, c: CandidateId):
     """Score plus a witness: sorted ``(group, count)`` pairs, each keeping
     ``count`` voters of the g-th distinct order.  Each merged ``y[h]`` is
-    split back over its group's orders by :func:`_split`."""
+    split back over its group's orders by :func:`_split`.
+
+    The root relaxation gets :func:`young_certificate` of the program; when
+    its point is integral and meets the bound, it is the optimum and branch
+    and bound ends at once, and otherwise the search runs as usual."""
     rows, groups = _young_program(profile, c, False)
-    sol = solve_ilp(_integer_program("max", rows))
+    ip = _integer_program("max", rows)
+    sol = solve_ilp(ip, young_certificate(ip.base))
     if sol.status == "infeasible":
         return 0, ()
     kept = sorted(

@@ -353,8 +353,13 @@ def _with_bounds(lp: LinearProgram, overrides: dict[int, tuple[Fraction, Fractio
     return LinearProgram(lp.direction, tuple(new_vars), lp.objective, lp.constraints)
 
 
-def solve_ilp(ip: IntegerProgram) -> LPSolution:
+def solve_ilp(ip: IntegerProgram, certificate=None) -> LPSolution:
     """Depth-first branch and bound over LP relaxations.
+
+    ``certificate`` is an optional ``(point, duals)`` pair for the root
+    relaxation alone, passed to `solve_lp`: a certified root is an LP optimum
+    with no simplex, and when it is integral the search ends there.  Nodes
+    below the root are solved without one.
 
     Branches on the fractional integral variable whose value has the largest
     denominator (ties to the smallest index), explores the nearer integer
@@ -377,7 +382,9 @@ def solve_ilp(ip: IntegerProgram) -> LPSolution:
     stack: list[dict[int, tuple[Fraction, Fraction]]] = [{}]
     while stack:
         overrides = stack.pop()
-        sol = solve_lp(_with_bounds(lp, overrides))
+        node = _with_bounds(lp, overrides)
+        sol = solve_lp(node) if certificate is None else solve_lp(node, certificate)
+        certificate = None  # nodes below the root get none
         if sol.status == "infeasible":
             continue
         if best is not None:

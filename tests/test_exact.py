@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -385,6 +386,48 @@ class TestMergedPrograms:
         score, moves = dodgson_score_with_moves(p, "a")
         assert (score, moves) == (2, ((0, 1, 1), (1, 1, 1)))
         assert validate_dodgson_witness(p, "a", score, moves)
+
+
+class TestCertifiedYoungScores:
+    """`young_score_with_subset` hands `young_certificate` of its strict program
+    to the root of branch and bound.  Its score must be the subset
+    enumeration's up to SUBSET_MAX_VOTERS voters and the uncertified ILP's
+    above, and its witness must replay."""
+
+    @staticmethod
+    def check(p):
+        scores = []
+        for c in p.candidates:
+            score, kept = young_score_with_subset(p, c)
+            if p.num_voters <= SUBSET_MAX_VOTERS:
+                assert score == young_score_bruteforce(p, c)
+            else:
+                lp = linear_program("max", *young_rows(p, c, weak=False))
+                sol = solve_ilp(IntegerProgram(lp, frozenset(v.name for v in lp.variables)))
+                assert score == (sol.objective_value if sol.status == "optimal" else 0)
+            assert validate_young_witness(p, c, score, kept)
+            scores.append(score)
+        return scores
+
+    def test_impartial_culture_grid(self):
+        for seed in range(3):
+            for p in ic_grid(seed):
+                self.check(p)
+
+    def test_few_orders_of_many_voters(self):
+        rng = random.Random(1919)
+        scores = []
+        for _ in range(30):
+            candidates = tuple("abcdef"[: rng.randint(3, 6)])
+            orders = rng.sample(list(permutations(candidates)), rng.randint(2, 5))
+            scores += self.check(Profile(candidates, tuple((o, rng.randint(1, 40)) for o in orders)))
+        assert scores.count(0) > 0 and len(set(scores)) > 20
+
+    def test_two_orders_of_200001_voters(self):
+        # a keeps every a > b > c voter and all but one b > c > a voter; b is
+        # the Condorcet winner; c beats b in no voter.
+        p = Profile(("a", "b", "c"), ((("a", "b", "c"), 100000), (("b", "c", "a"), 100001)))
+        assert self.check(p) == [199999, 200001, 0]
 
 
 class TestNoVoterExpansion:

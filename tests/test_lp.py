@@ -6,7 +6,7 @@ import pytest
 
 from dodgsonyoung import SCHEMES, parse_profile
 from dodgsonyoung import lp as lp_module
-from dodgsonyoung.exact import dodgson_certificate, young_certificate
+from dodgsonyoung.exact import dodgson_certificate, young_certificate, young_rows
 from dodgsonyoung.homogeneous import dodgson_star_program, young_star_program
 from dodgsonyoung.lp import (
     Constraint,
@@ -31,6 +31,13 @@ from oracles import (
 FIXTURES = Path(__file__).parent / "fixtures"
 STAR_PROGRAMS = {"dodgson-star": dodgson_star_program, "young-star": young_star_program}
 CERTIFICATES = {"dodgson-star": dodgson_certificate, "young-star": young_certificate}
+
+
+def young_program(profile, c):
+    """The exact Young keep program of c, at the strict threshold."""
+    lp = linear_program("max", *young_rows(profile, c, weak=False))
+    return IntegerProgram(lp, frozenset(v.name for v in lp.variables))
+
 
 
 # Beale's cycling example, boxed at 10: the box cuts off no optimum and keeps
@@ -299,6 +306,57 @@ class TestSolveILP:
         assert sol["y"] == F(1, 4)
         assert sol.objective_value == F(29, 4)
 
+    @staticmethod
+    def counted_lp_calls(monkeypatch):
+        calls = []
+
+        def counted(lp, *certificate):
+            calls.append(certificate)
+            return solve_lp(lp, *certificate)
+
+        monkeypatch.setattr(lp_module, "solve_lp", counted)
+        return calls
+
+    def test_certified_integral_root_ends_the_search(self, monkeypatch):
+        lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [1, 1], [([1, 1], "<=", 4)])
+        ip = IntegerProgram(lp, frozenset({"x", "y"}))
+        calls = self.counted_lp_calls(monkeypatch)
+        pivots = []
+        monkeypatch.setattr(lp_module._Simplex, "_pivot", lambda *args: pivots.append(args))
+        sol = solve_ilp(ip, ([4, 0], [1]))
+        assert (sol.objective_value, sol["x"], sol["y"]) == (4, 4, 0)
+        assert calls == [(([4, 0], [1]),)] and pivots == []
+
+    # Its root optimum is x = 3, y = 3/2 of value 12, which the multipliers
+    # 5/4 and 1/4 prove; its integer optimum is 10 at x = y = 2.
+    FRACTIONAL_ROOT = IntegerProgram(
+        linear_program("max", [("x", 0, 10), ("y", 0, 10)], [3, 2],
+                       [([2, 2], "<=", 9), ([2, -2], "<=", 3)]),
+        frozenset({"x", "y"}),
+    )
+
+    def test_certified_fractional_root_still_branches(self, monkeypatch):
+        ip = self.FRACTIONAL_ROOT
+        certificate = ([3, F(3, 2)], [F(5, 4), F(1, 4)])
+        assert dual_bound(ip.base, certificate[1]) == 12
+        calls = self.counted_lp_calls(monkeypatch)
+        sol = solve_ilp(ip, certificate)
+        # only the root call gets the certificate
+        assert len(calls) > 1 and calls[0] == (certificate,) and set(calls[1:]) == {()}
+        assert sol == solve_ilp(ip)
+        assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
+
+    @pytest.mark.parametrize(
+        "certificate",
+        [
+            ([2, 2], [F(5, 4), F(1, 4)]),  # a feasible point below the bound
+            ([3, F(3, 2)], [1, 1]),  # the optimum with multipliers proving too little
+            ([0, 0], [0, 0]),
+        ],
+    )
+    def test_wrong_certificate_gives_the_same_answer(self, certificate):
+        assert solve_ilp(self.FRACTIONAL_ROOT, certificate) == solve_ilp(self.FRACTIONAL_ROOT)
+
     def test_branch_and_bound_keeps_the_sense(self, monkeypatch):
         # every node relaxation is the given maximisation, not a negated copy
         nodes = []
@@ -428,10 +486,13 @@ class TestPivotCounts:
     @staticmethod
     def engine_pivots(pivots, name, profile):
         """Pivots of one scheme's scores, a starred program solved by plain
-        `solve_lp`, with no certificate, so that the pin counts the engine."""
+        `solve_lp` and the exact Young program by plain `solve_ilp`, with no
+        certificate, so that the pin counts the engine."""
         if name in STAR_PROGRAMS:
             build = STAR_PROGRAMS[name]
             return pivots(lambda: [solve_lp(build(profile, c)) for c in profile.candidates])
+        if name == "young":
+            return pivots(lambda: [solve_ilp(young_program(profile, c)) for c in profile.candidates])
         return pivots(lambda: SCHEMES[name].scores(profile))
 
     def test_beale(self, pivots):
@@ -458,6 +519,13 @@ class TestPivotCounts:
         profiles += ic_grid(0)
         for name in STAR_PROGRAMS:
             assert [pivots(lambda: SCHEMES[name].scores(p)) for p in profiles] == [0] * 8
+
+    def test_certified_exact_young_scores_make_no_pivot(self, pivots):
+        # The greedy certificate of the strict keep program settles the root
+        # relaxation with an integral point, so branch and bound ends there.
+        profiles = [parse_profile((FIXTURES / f"{f}.elect").read_text()) for f in ("cycle", "young_ranking14")]
+        profiles += ic_grid(0)
+        assert [pivots(lambda: SCHEMES["young"].scores(p)) for p in profiles] == [0] * 8
 
     @pytest.mark.parametrize("name", STAR_PROGRAMS)
     def test_corrupted_certificate_falls_back_to_the_simplex(self, pivots, name):
