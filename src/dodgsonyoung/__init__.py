@@ -4,6 +4,11 @@ Core pieces: preference profiles with pairwise tallies, an exact rational
 LP/ILP engine, Dodgson and Young scores (ILP plus independent brute-force
 oracles), their Fishburn-limit starred variants, and the reduction chain
 from independence-number comparison down to Young Winner.
+
+The reduction chain is loaded on first use: its names resolve through the
+module ``__getattr__`` (PEP 562), so ``import dodgsonyoung`` and the scoring
+verbs of the CLI never compile it.  ``dir()`` and ``__all__`` list its names
+all the same.
 """
 
 from .errors import CapExceededError, ParseError
@@ -53,22 +58,27 @@ from .profiles import (
     serialize_profile,
     tally,
 )
-from .reductions import (
-    ChainReport,
-    Graph,
-    MSPCInstance,
-    SetFamilyInstance,
-    YoungReductionOutput,
-    alpha,
-    amplify_for_winner,
-    graph,
-    inc_to_mspc,
-    kappa,
-    mspc_to_young_ranking,
-    parse_graph,
-    parse_set_family,
-    set_family,
-    verify_reduction_chain,
-)
 
 __version__ = "0.1.0"
+
+# Names that load `reductions` on first use, and the module itself.
+_REDUCTIONS = frozenset("""
+    ChainReport Graph MSPCInstance SetFamilyInstance YoungReductionOutput alpha amplify_for_winner
+    graph inc_to_mspc kappa mspc_to_young_ranking parse_graph parse_set_family set_family
+    verify_reduction_chain reductions
+""".split())
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _REDUCTIONS)
+
+
+def __getattr__(name: str):
+    if name not in _REDUCTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # `from . import reductions` here would call this hook again
+    module = importlib.import_module(".reductions", __name__)
+    value = module if name == "reductions" else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _REDUCTIONS)

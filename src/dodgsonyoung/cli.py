@@ -6,19 +6,21 @@ rationals appear as p/q strings in both formats.  Domain errors (missing
 files, malformed input, unknown candidates, caps) exit with code 1 and a
 message on stderr; usage errors exit with 2.  Decision verbs print
 lowercase true/false (text and JSON alike) and exit 0 for both answers.
+Each verb imports only what it runs: ``reduce``, ``amplify`` and ``verify``
+load the reduction chain when they start, and ``json`` is loaded only to
+print JSON.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import reductions
 from .errors import CapExceededError
 from .homogeneous import SCHEMES
 from .profiles import Profile, condorcet_winner, parse_profile, replicate, serialize_profile
+
 
 def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
@@ -39,7 +41,10 @@ def _load_profile(path: str) -> Profile:
 def _emit(args, payload, text: str) -> int:
     """Write ``text``, or under ``--format json`` one line with the JSON of
     ``payload()``; the payload is built only when it is printed."""
-    sys.stdout.write(json.dumps(payload()) + "\n" if args.format == "json" else text)
+    if args.format == "json":
+        import json
+        text = json.dumps(payload()) + "\n"
+    sys.stdout.write(text)
     return 0
 
 
@@ -74,6 +79,7 @@ def _cmd_condorcet(args) -> int:
 
 
 def _cmd_reduce(args, parser) -> int:
+    from . import reductions
     from_graphs = args.graph1 is not None or args.graph2 is not None
     from_sets = args.sets1 is not None or args.sets2 is not None
     if from_graphs == from_sets:
@@ -112,6 +118,7 @@ def _cmd_reduce(args, parser) -> int:
 
 
 def _cmd_amplify(args) -> int:
+    from . import reductions
     profile = _load_profile(args.profile)
     amplified = reductions.amplify_for_winner(profile, args.candidate, args.other)
     text = serialize_profile(amplified)
@@ -119,6 +126,7 @@ def _cmd_amplify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import reductions
     g1 = reductions.parse_graph(_read(args.graph1))
     g2 = reductions.parse_graph(_read(args.graph2))
     report = reductions.verify_reduction_chain(g1, g2)
@@ -181,14 +189,12 @@ def _cmd_convergence(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each option is declared once, in a holder parser that the verbs list
-    as ``parents``; an option is declared again only where its meaning
-    differs.  Holders are listed in the order the usage line shows them."""
+    """Each verb lists its options as ``(flags, kwargs)`` pairs, in the order
+    the usage line shows them; every verb ends with ``--format``.  An option
+    shared by several verbs is one pair, named once below."""
 
-    def option(*flags, **kwargs) -> argparse.ArgumentParser:
-        holder = argparse.ArgumentParser(add_help=False)
-        holder.add_argument(*flags, **kwargs)
-        return holder
+    def option(*flags, **kwargs):
+        return flags, kwargs
 
     scheme = option("--scheme", choices=SCHEMES, required=True)
     profile = option("--profile", required=True)
@@ -203,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def verb(name, func, help, *options) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help, parents=[*options, fmt])
+        p = sub.add_parser(name, help=help)
+        for flags, kwargs in (*options, fmt):
+            p.add_argument(*flags, **kwargs)
         p.set_defaults(func=func)
         return p
 

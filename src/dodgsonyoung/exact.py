@@ -22,10 +22,9 @@ Ranking are the methods of a :class:`Scheme` row, ``DODGSON`` or ``YOUNG``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
 
 from .errors import CapExceededError
 from .lp import IntegerProgram, LinearProgram, linear_program, solve_ilp
@@ -503,15 +502,12 @@ def young_score_bruteforce(profile: Profile, c: CandidateId) -> int:
 # -- decision problems ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scheme:
-    """A scoring scheme: its score and the extreme that wins (``min`` for
-    Dodgson, ``max`` for Young).  Winner and Ranking compare scores the same
-    way for every scheme."""
+class Scheme(namedtuple("Scheme", "name score better")):
+    """A scoring scheme: its name, its ``score(profile, c)`` and the extreme
+    that wins (``min`` for Dodgson, ``max`` for Young).  Winner and Ranking
+    compare scores the same way for every scheme."""
 
-    name: str
-    score: Callable[[Profile, CandidateId], int | Fraction]
-    better: Callable
+    __slots__ = ()
 
     def scores(self, profile: Profile) -> dict[CandidateId, int | Fraction]:
         return {c: self.score(profile, c) for c in profile.candidates}

@@ -10,11 +10,11 @@ simplex is variable j minus its lower bound, so it ranges over
 column at the bound its cost prefers, which is dual feasible, so there is
 one phase and no artificial column.  Every coefficient is a Fraction, so
 feasibility and optimality hold exactly; there is no tolerance anywhere.
-The program types turn ints into Fractions and reject floats when they are
-built.  Programs are sparse from end to end: a `Constraint` holds
-``(column, coefficient)`` pairs of its nonzero entries, and each simplex row
-starts as a dict of them, so building and checking a program cost its
-nonzeros, not rows times columns.
+The program types are named tuples that turn ints into Fractions and reject
+floats in their ``__new__``.  Programs are sparse from end to end: a
+`Constraint` holds ``(column, coefficient)`` pairs of its nonzero entries,
+and each simplex row starts as a dict of them, so building and checking a
+program cost its nonzeros, not rows times columns.
 
 A caller that already knows a good point can pass it to `solve_lp` with a
 dual vector as a certificate.  The point is checked by substitution and the
@@ -26,8 +26,8 @@ costs time, never correctness.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -46,21 +46,19 @@ def frac(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lower: Fraction
-    upper: Fraction
+class Variable(namedtuple("Variable", "name lower upper")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for side in ("lower", "upper"):
-            if getattr(self, side) is None:
-                raise ValueError(f"variable {self.name!r} needs a finite {side} bound")
-            object.__setattr__(self, side, frac(getattr(self, side)))
+    def __new__(cls, name, lower, upper):
+        bounds = []
+        for side, bound in (("lower", lower), ("upper", upper)):
+            if bound is None:
+                raise ValueError(f"variable {name!r} needs a finite {side} bound")
+            bounds.append(frac(bound))
+        return super().__new__(cls, name, *bounds)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(namedtuple("Constraint", "coeffs relation rhs")):
     """A row ``sum_j a_j x_j <relation> rhs``.
 
     ``coeffs`` is given as a ``{column: coefficient}`` mapping or as a dense
@@ -68,50 +66,50 @@ class Constraint:
     ``(column, coefficient)`` pairs of its nonzero entries in ascending
     column order.  Every entry is coerced before zeros are dropped, so a
     float is rejected wherever it sits.  A dense row keeps its length in
-    ``width``, which the program checks against its variable count.
+    ``width``, which the program checks against its variable count; it lives
+    in the instance dict, so it is neither a field nor part of equality.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...]
-    relation: str
-    rhs: Fraction
-    width: int | None = field(default=None, init=False, repr=False, compare=False)
+    width: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.relation not in RELATIONS:
-            raise ValueError(f"bad relation {self.relation!r}")
-        if isinstance(self.coeffs, Mapping):
-            if not all(type(j) is int and j >= 0 for j in self.coeffs):
+    def __new__(cls, coeffs, relation, rhs):
+        if relation not in RELATIONS:
+            raise ValueError(f"bad relation {relation!r}")
+        if isinstance(coeffs, Mapping):
+            if not all(type(j) is int and j >= 0 for j in coeffs):
                 raise ValueError("constraint columns must be non-negative ints")
-            items = sorted(self.coeffs.items())
+            items, width = sorted(coeffs.items()), None
         else:
-            items = list(enumerate(self.coeffs))
-            object.__setattr__(self, "width", len(items))
-        object.__setattr__(self, "coeffs", tuple((j, x) for j, a in items if (x := frac(a))))
-        object.__setattr__(self, "rhs", frac(self.rhs))
+            items = list(enumerate(coeffs))
+            width = len(items)
+        self = super().__new__(cls, tuple((j, x) for j, a in items if (x := frac(a))), relation, frac(rhs))
+        if width is not None:
+            self.width = width
+        return self
+
+    def __getnewargs__(self):
+        # as a mapping, since pairs would read as a dense row; copies get `width` from the dict
+        return dict(self.coeffs), self.relation, self.rhs
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    direction: str
-    variables: tuple[Variable, ...]
-    objective: tuple[Fraction, ...]
-    constraints: tuple[Constraint, ...] = ()
+class LinearProgram(namedtuple("LinearProgram", "direction variables objective constraints")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("min", "max"):
-            raise ValueError(f"direction must be 'min' or 'max', got {self.direction!r}")
-        names = [v.name for v in self.variables]
+    def __new__(cls, direction, variables, objective, constraints=()):
+        if direction not in ("min", "max"):
+            raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+        names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        if len(self.objective) != len(self.variables):
+        if len(objective) != len(variables):
             raise ValueError("objective length does not match variable count")
-        n = len(self.variables)
-        for con in self.constraints:
+        n = len(variables)
+        for con in constraints:
             if con.width is not None and con.width != n:
                 raise ValueError("constraint length does not match variable count")
             if con.coeffs and con.coeffs[-1][0] >= n:
                 raise ValueError(f"constraint column {con.coeffs[-1][0]} out of range 0..{n - 1}")
-        object.__setattr__(self, "objective", tuple(frac(c) for c in self.objective))
+        return super().__new__(cls, direction, variables, tuple(frac(c) for c in objective), constraints)
 
 
 def linear_program(direction, variables, objective, constraints=()) -> LinearProgram:
@@ -126,23 +124,25 @@ def linear_program(direction, variables, objective, constraints=()) -> LinearPro
     )
 
 
-@dataclass(frozen=True)
-class IntegerProgram:
-    base: LinearProgram
-    integral: frozenset[str]
+class IntegerProgram(namedtuple("IntegerProgram", "base integral")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        names = {v.name for v in self.base.variables}
-        for name in self.integral:
+    def __new__(cls, base, integral):
+        names = {v.name for v in base.variables}
+        for name in integral:
             if name not in names:
                 raise ValueError(f"integral variable {name!r} is not in the program")
+        return super().__new__(cls, base, integral)
 
 
-@dataclass(frozen=True)
-class LPSolution:
-    status: str  # 'optimal' | 'infeasible'; a boxed program has no other outcome
-    assignment: dict[str, Fraction] = field(default_factory=dict)
-    objective_value: Fraction | None = None
+class LPSolution(namedtuple("LPSolution", "status assignment objective_value")):
+    """``status`` is 'optimal' or 'infeasible'; a boxed program has no other
+    outcome.  ``sol[name]`` reads the value of a variable."""
+
+    __slots__ = ()
+
+    def __new__(cls, status, assignment=None, objective_value=None):
+        return super().__new__(cls, status, {} if assignment is None else assignment, objective_value)
 
     def __getitem__(self, name: str) -> Fraction:
         return self.assignment[name]
@@ -350,7 +350,7 @@ def _with_bounds(lp: LinearProgram, overrides: dict[int, tuple[Fraction, Fractio
     new_vars = list(lp.variables)
     for idx, (lo, hi) in overrides.items():
         new_vars[idx] = Variable(new_vars[idx].name, lo, hi)
-    return LinearProgram(lp.direction, tuple(new_vars), lp.objective, lp.constraints)
+    return lp._replace(variables=tuple(new_vars))  # the same names, so nothing to check
 
 
 def solve_ilp(ip: IntegerProgram, certificate=None) -> LPSolution:

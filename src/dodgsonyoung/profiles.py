@@ -3,12 +3,14 @@
 A profile is a candidate set together with a multiset of strict total
 preference orders.  Identical orders may be stored compressed as
 (order, multiplicity) entries; per-voter operations use expanded voter
-indices 1..n in file order.
+indices 1..n in file order.  A `Profile` is a named tuple that checks its
+entries when it is built; `parse_profile` checks each line as it reads it,
+with its line number, and then builds the record without checking again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import ParseError
 
@@ -51,8 +53,7 @@ def _check_voter(order, mult, candidates: set[CandidateId], written: str | None 
         raise ValueError(f"order omits candidate(s): {' '.join(missing)}")
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(namedtuple("Profile", "candidates voters")):
     """Candidates plus voters, each voter a (preference order, multiplicity) entry.
 
     Every order must be a permutation of the full candidate set.  A profile
@@ -60,13 +61,13 @@ class Profile:
     one voter line.
     """
 
-    candidates: tuple[CandidateId, ...]
-    voters: tuple[tuple[PreferenceOrder, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        candidates = _check_candidates(self.candidates)
-        for order, mult in self.voters:
-            _check_voter(order, mult, candidates)
+    def __new__(cls, candidates, voters):
+        names = _check_candidates(candidates)
+        for order, mult in voters:
+            _check_voter(order, mult, names)
+        return super().__new__(cls, candidates, voters)
 
     @property
     def num_voters(self) -> int:
@@ -77,13 +78,10 @@ class Profile:
         return tuple(order for order, mult in self.voters for _ in range(mult))
 
 
-@dataclass(frozen=True)
-class PairwiseTally:
+class PairwiseTally(namedtuple("PairwiseTally", "candidates total matrix")):
     """Head-to-head counts: how many voters rank u above v, for every pair."""
 
-    candidates: tuple[CandidateId, ...]
-    total: int
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def count(self, u: CandidateId, v: CandidateId) -> int:
         i, j = self.candidates.index(u), self.candidates.index(v)
@@ -161,7 +159,7 @@ def parse_profile(text: str) -> Profile:
         voters.append((order, mult))
     if not voters:
         raise ParseError("no voter lines")
-    return Profile(candidates, tuple(voters))
+    return Profile._make((candidates, tuple(voters)))  # every line is checked above
 
 
 def serialize_profile(profile: Profile) -> str:
@@ -189,7 +187,7 @@ def tally(profile: Profile) -> PairwiseTally:
     return PairwiseTally(cands, profile.num_voters, tuple(tuple(row) for row in matrix))
 
 
-def condorcet_winner(profile: Profile) -> Optional[CandidateId]:
+def condorcet_winner(profile: Profile) -> CandidateId | None:
     """The candidate beating every rival by a strict majority, if one exists.
 
     With an empty electorate no candidate wins (0 > 0 fails).  Uniqueness is

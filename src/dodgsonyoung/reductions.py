@@ -4,11 +4,14 @@ The chain: comparing graph independence numbers reduces to comparing maximum
 set packings (vertex -> set of incident edges), which reduces to Young
 Ranking through a profile built from six voter shapes around two designated
 candidates, and Young Ranking reduces to Young Winner by replicating every
-non-designated candidate into a rotated block per voter.
+non-designated candidate into a rotated block per voter.  The package and
+the CLI load this module only when it is used (the ``reduce``, ``amplify``
+and ``verify`` verbs).  Like `parse_profile`, the graph and set-family
+parsers check each line once and build their record without checking again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceededError, ParseError
 from .exact import validate_young_witness, young_score_bruteforce, young_score_with_subset
@@ -59,18 +62,17 @@ def _in_base_order(elements, index: dict[str, int]) -> tuple[str, ...]:
     return tuple(sorted(elements, key=lambda e: index.get(e, -1)))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "vertices edges")):
     """Simple undirected graph; vertex and edge order follow the input."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        index = _index(self.vertices, "vertex")
+    def __new__(cls, vertices, edges):
+        index = _index(vertices, "vertex")
         seen: set[frozenset[str]] = set()
-        for u, v in self.edges:
+        for u, v in edges:
             _check_edge(u, v, index, seen)
+        return super().__new__(cls, vertices, edges)
 
 
 def graph(vertices, edges) -> Graph:
@@ -85,17 +87,16 @@ def graph(vertices, edges) -> Graph:
     return Graph(verts, tuple(normalized))
 
 
-@dataclass(frozen=True)
-class SetFamilyInstance:
+class SetFamilyInstance(namedtuple("SetFamilyInstance", "base family")):
     """Ordered ground set plus a family of nonempty member sets."""
 
-    base: tuple[str, ...]
-    family: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        index = _index(self.base, "ground-set element")
-        for member in self.family:
+    def __new__(cls, base, family):
+        index = _index(base, "ground-set element")
+        for member in family:
             _check_member(member, index)
+        return super().__new__(cls, base, family)
 
 
 def set_family(base, family) -> SetFamilyInstance:
@@ -105,10 +106,10 @@ def set_family(base, family) -> SetFamilyInstance:
     return SetFamilyInstance(base_t, tuple(_in_base_order(member, index) for member in family))
 
 
-@dataclass(frozen=True)
-class MSPCInstance:
-    first: SetFamilyInstance
-    second: SetFamilyInstance
+class MSPCInstance(namedtuple("MSPCInstance", "first second")):
+    """Two set families whose maximum packings are compared."""
+
+    __slots__ = ()
 
 
 def _largest_compatible(conflicts: list[int]) -> int:
@@ -180,29 +181,23 @@ def inc_to_mspc(g1: Graph, g2: Graph) -> MSPCInstance:
     return MSPCInstance(_incident_edge_family(g1), _incident_edge_family(g2))
 
 
-@dataclass(frozen=True)
-class YoungReductionOutput:
+class YoungReductionOutput(namedtuple(
+    "YoungReductionOutput",
+    "profile c d a b first_elements second_elements set_voters_first set_voters_second"
+    " form_of_voter kappa1 kappa2",
+)):
     """Profile of 2|S1|+2|S2|+2 voters over {c,d,a,b} and the renamed ground sets.
 
-    ``form_of_voter[i-1]`` gives the shape (1..6) of expanded voter i;
-    ``set_voters_first[t]`` is the voter index representing the t-th member
-    set of the first family (``set_voters_second`` likewise).  ``kappa1`` and
-    ``kappa2`` are the families' maximum packings, so Young(c) = 2*kappa1+1
-    and Young(d) = 2*kappa2+1.
+    ``c``, ``d``, ``a`` and ``b`` name the four fixed candidates;
+    ``first_elements`` and ``second_elements`` pair each ground-set element
+    with its candidate.  ``form_of_voter[i-1]`` gives the shape (1..6) of
+    expanded voter i; ``set_voters_first[t]`` is the voter index representing
+    the t-th member set of the first family (``set_voters_second``
+    likewise).  ``kappa1`` and ``kappa2`` are the families' maximum packings,
+    so Young(c) = 2*kappa1+1 and Young(d) = 2*kappa2+1.
     """
 
-    profile: Profile
-    c: CandidateId
-    d: CandidateId
-    a: CandidateId
-    b: CandidateId
-    first_elements: tuple[tuple[str, CandidateId], ...]
-    second_elements: tuple[tuple[str, CandidateId], ...]
-    set_voters_first: tuple[int, ...]
-    set_voters_second: tuple[int, ...]
-    form_of_voter: tuple[int, ...]
-    kappa1: int
-    kappa2: int
+    __slots__ = ()
 
 
 def mspc_to_young_ranking(inst: MSPCInstance) -> YoungReductionOutput:
@@ -318,23 +313,15 @@ def young_scores_bruteforce_all(profile: Profile) -> dict[CandidateId, int]:
     return {c: young_score_bruteforce(profile, c) for c in profile.candidates}
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    """Stage-by-stage answers of one reduction-chain run."""
+class ChainReport(namedtuple(
+    "ChainReport",
+    "alpha1 alpha2 kappa1 kappa2 young_c young_d alpha_compare kappa_compare ranking_answer"
+    " equations_hold winner_checked winner_answer consistent",
+)):
+    """Stage-by-stage answers of one reduction-chain run; ``winner_answer``
+    is None when the Young Winner stage was not checked."""
 
-    alpha1: int
-    alpha2: int
-    kappa1: int
-    kappa2: int
-    young_c: int
-    young_d: int
-    alpha_compare: bool
-    kappa_compare: bool
-    ranking_answer: bool
-    equations_hold: bool
-    winner_checked: bool
-    winner_answer: bool | None
-    consistent: bool
+    __slots__ = ()
 
 
 def verify_reduction_chain(g1: Graph, g2: Graph) -> ChainReport:
@@ -415,8 +402,8 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"edge needs exactly two endpoints, got {rest!r}", lineno)
         u, v = endpoints
         at_line(lineno, _check_edge, u, v, index, seen)
-        edges.append((u, v))
-    return graph(vertices, edges)
+        edges.append((u, v) if index[u] < index[v] else (v, u))
+    return Graph._make((vertices, tuple(edges)))  # every line is checked above
 
 
 def parse_set_family(text: str) -> SetFamilyInstance:
@@ -435,7 +422,7 @@ def parse_set_family(text: str) -> SetFamilyInstance:
         member = _in_base_order(rest.split(), index)
         at_line(lineno, _check_member, member, index)
         family.append(member)
-    return SetFamilyInstance(base, tuple(family))
+    return SetFamilyInstance._make((base, tuple(family)))  # every line is checked above
 
 
 def serialize_set_family(s: SetFamilyInstance) -> str:
