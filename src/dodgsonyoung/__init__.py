@@ -41,7 +41,6 @@ from .homogeneous import (
 )
 from .lp import (
     Constraint,
-    IntegerProgram,
     LinearProgram,
     LPSolution,
     Variable,

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapExceededError
-from .lp import IntegerProgram, LinearProgram, linear_program, solve_ilp
+from .lp import LinearProgram, linear_program, solve_ilp
 from .profiles import CandidateId, PreferenceOrder, Profile, condorcet_winner, tally
 
 
@@ -179,7 +179,7 @@ def _young_program(profile: Profile, c: CandidateId, weak: bool):
     objective = [1] * len(groups)
     rhs = 0 if weak else 1
     rows = dict.fromkeys(tuple(1 if beaten[i] else -1 for beaten, _ in groups) for i in range(len(rivals)))
-    constraints = [(list(coeffs), ">=", rhs) for coeffs in rows]
+    constraints = [(dict(enumerate(coeffs)), ">=", rhs) for coeffs in rows]
     return (variables, objective, constraints), groups
 
 
@@ -191,9 +191,9 @@ def young_rows(profile: Profile, c: CandidateId, *, weak: bool):
     ``y[h]`` counts the kept voters of group h.  Against every rival,
     supporters of c minus opponents among the kept voters must be at least
     1 (a strict majority) or, when ``weak``, 0 (its closure, whose LP value
-    is the starred score); rivals with the same row share one.  Every entry
-    of a row is +1 or -1, so the rows are dense lists: they are their
-    nonzeros already.
+    is the starred score); rivals with the same row share one.  Rows are
+    ``{column: coefficient}`` mappings over every column, since each entry
+    is +1 or -1 and none is zero.
     """
     return _young_program(profile, c, weak)[0]
 
@@ -303,11 +303,6 @@ def young_certificate(program: LinearProgram):
     return kept, duals
 
 
-def _integer_program(direction: str, rows) -> IntegerProgram:
-    lp = linear_program(direction, *rows)
-    return IntegerProgram(lp, frozenset(var.name for var in lp.variables))
-
-
 def dodgson_score(profile: Profile, c: CandidateId) -> int:
     """Minimum number of adjacent swaps making c the Condorcet winner."""
     score, _ = dodgson_score_with_moves(profile, c)
@@ -320,7 +315,7 @@ def dodgson_score_with_moves(profile: Profile, c: CandidateId):
     first appearance, as in :func:`gain_matrix`).  Each merged ``m[h,j]`` is
     split back over its group's orders by :func:`_split`."""
     rows, groups = _dodgson_program(profile, c, False)
-    sol = solve_ilp(_integer_program("min", rows))
+    sol = solve_ilp(linear_program("min", *rows))
     if sol.status != "optimal":  # pragma: no cover - always feasible for n >= 1
         raise RuntimeError("internal: Dodgson program must be feasible")
     moves = sorted(
@@ -441,8 +436,8 @@ def young_score_with_subset(profile: Profile, c: CandidateId):
     its point is integral and meets the bound, it is the optimum and branch
     and bound ends at once, and otherwise the search runs as usual."""
     rows, groups = _young_program(profile, c, False)
-    ip = _integer_program("max", rows)
-    sol = solve_ilp(ip, young_certificate(ip.base))
+    lp = linear_program("max", *rows)
+    sol = solve_ilp(lp, young_certificate(lp))
     if sol.status == "infeasible":
         return 0, ()
     kept = sorted(

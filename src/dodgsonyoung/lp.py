@@ -2,19 +2,21 @@
 
 One bounded dual simplex with Bland's rule in dual form on boxed programs,
 ``lower <= x <= upper`` with both bounds finite and every row ``<=`` or
-``>=``, plus a depth-first branch-and-bound wrapper for integer programs.
-Every score program is boxed, since each of its variables counts voters, and
-a boxed program is either infeasible or has an optimum.  Column j of the
-simplex is variable j minus its lower bound, so it ranges over
-``[0, upper - lower]``.  Every row starts basic in its own slack and every
-column at the bound its cost prefers, which is dual feasible, so there is
-one phase and no artificial column.  Every coefficient is a Fraction, so
-feasibility and optimality hold exactly; there is no tolerance anywhere.
-The program types are named tuples that turn ints into Fractions and reject
-floats in their ``__new__``.  Programs are sparse from end to end: a
-`Constraint` holds ``(column, coefficient)`` pairs of its nonzero entries,
-and each simplex row starts as a dict of them, so building and checking a
-program cost its nonzeros, not rows times columns.
+``>=``, plus a depth-first branch-and-bound wrapper for pure integer
+programs, in which every variable is integral.  Every score program is
+boxed, since each of its variables counts voters, and a boxed program is
+either infeasible or has an optimum.  Column j of the simplex is variable j
+minus its lower bound, so it ranges over ``[0, upper - lower]``.  Every row
+starts basic in its own slack and every column at the bound its cost
+prefers, which is dual feasible, so there is one phase and no artificial
+column.  Every coefficient is a Fraction, so feasibility and optimality
+hold exactly; there is no tolerance anywhere.  The program types are named
+tuples that turn ints into Fractions and reject floats in their
+``__new__``.  Programs are sparse from end to end: a
+`Constraint` is built from a ``{column: coefficient}`` mapping and holds the
+``(column, coefficient)`` pairs of its nonzero entries, and each simplex row
+starts as a dict of them, so building and checking a program cost its
+nonzeros, not rows times columns.
 
 A caller that already knows a good point can pass it to `solve_lp` with a
 dual vector as a certificate.  The point is checked by substitution and the
@@ -61,34 +63,27 @@ class Variable(namedtuple("Variable", "name lower upper")):
 class Constraint(namedtuple("Constraint", "coeffs relation rhs")):
     """A row ``sum_j a_j x_j <relation> rhs``.
 
-    ``coeffs`` is given as a ``{column: coefficient}`` mapping or as a dense
-    sequence with one entry per variable, and is kept as the
-    ``(column, coefficient)`` pairs of its nonzero entries in ascending
+    ``coeffs`` is given as a ``{column: coefficient}`` mapping and is kept as
+    the ``(column, coefficient)`` pairs of its nonzero entries in ascending
     column order.  Every entry is coerced before zeros are dropped, so a
-    float is rejected wherever it sits.  A dense row keeps its length in
-    ``width``, which the program checks against its variable count; it lives
-    in the instance dict, so it is neither a field nor part of equality.
+    float is rejected wherever it sits.
     """
 
-    width: int | None = None
+    __slots__ = ()
 
     def __new__(cls, coeffs, relation, rhs):
         if relation not in RELATIONS:
             raise ValueError(f"bad relation {relation!r}")
-        if isinstance(coeffs, Mapping):
-            if not all(type(j) is int and j >= 0 for j in coeffs):
-                raise ValueError("constraint columns must be non-negative ints")
-            items, width = sorted(coeffs.items()), None
-        else:
-            items = list(enumerate(coeffs))
-            width = len(items)
-        self = super().__new__(cls, tuple((j, x) for j, a in items if (x := frac(a))), relation, frac(rhs))
-        if width is not None:
-            self.width = width
-        return self
+        if not isinstance(coeffs, Mapping):
+            raise TypeError(f"constraint coefficients must be a {{column: coefficient}} mapping, "
+                            f"got {type(coeffs).__name__}")
+        if not all(type(j) is int and j >= 0 for j in coeffs):
+            raise ValueError("constraint columns must be non-negative ints")
+        pairs = tuple((j, x) for j, a in sorted(coeffs.items()) if (x := frac(a)))
+        return super().__new__(cls, pairs, relation, frac(rhs))
 
     def __getnewargs__(self):
-        # as a mapping, since pairs would read as a dense row; copies get `width` from the dict
+        # as a mapping, since the pairs are not one
         return dict(self.coeffs), self.relation, self.rhs
 
 
@@ -105,8 +100,6 @@ class LinearProgram(namedtuple("LinearProgram", "direction variables objective c
             raise ValueError("objective length does not match variable count")
         n = len(variables)
         for con in constraints:
-            if con.width is not None and con.width != n:
-                raise ValueError("constraint length does not match variable count")
             if con.coeffs and con.coeffs[-1][0] >= n:
                 raise ValueError(f"constraint column {con.coeffs[-1][0]} out of range 0..{n - 1}")
         return super().__new__(cls, direction, variables, tuple(frac(c) for c in objective), constraints)
@@ -114,25 +107,14 @@ class LinearProgram(namedtuple("LinearProgram", "direction variables objective c
 
 def linear_program(direction, variables, objective, constraints=()) -> LinearProgram:
     """Convenience constructor: variables as (name, lower, upper), constraints
-    as (coeffs, relation, rhs) with coeffs dense or a {column: coefficient}
-    mapping (see `Constraint`)."""
+    as (coeffs, relation, rhs) with coeffs a {column: coefficient} mapping
+    (see `Constraint`)."""
     return LinearProgram(
         direction,
         tuple(Variable(*var) for var in variables),
         tuple(objective),
         tuple(Constraint(*con) for con in constraints),
     )
-
-
-class IntegerProgram(namedtuple("IntegerProgram", "base integral")):
-    __slots__ = ()
-
-    def __new__(cls, base, integral):
-        names = {v.name for v in base.variables}
-        for name in integral:
-            if name not in names:
-                raise ValueError(f"integral variable {name!r} is not in the program")
-        return super().__new__(cls, base, integral)
 
 
 class LPSolution(namedtuple("LPSolution", "status assignment objective_value")):
@@ -353,30 +335,24 @@ def _with_bounds(lp: LinearProgram, overrides: dict[int, tuple[Fraction, Fractio
     return lp._replace(variables=tuple(new_vars))  # the same names, so nothing to check
 
 
-def solve_ilp(ip: IntegerProgram, certificate=None) -> LPSolution:
-    """Depth-first branch and bound over LP relaxations.
+def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
+    """Depth-first branch and bound over LP relaxations, with every variable
+    integral.
 
     ``certificate`` is an optional ``(point, duals)`` pair for the root
     relaxation alone, passed to `solve_lp`: a certified root is an LP optimum
     with no simplex, and when it is integral the search ends there.  Nodes
     below the root are solved without one.
 
-    Branches on the fractional integral variable whose value has the largest
+    Branches on the fractional variable whose value has the largest
     denominator (ties to the smallest index), explores the nearer integer
     side first, and prunes against the best incumbent.  Bounds and
     incumbents are compared as ``sense * value`` (``sense`` is -1 for
-    ``max``), so smaller is better in both directions.  When the objective is
-    supported on integral variables with integer coefficients, relaxation
-    bounds are rounded before pruning.
+    ``max``), so smaller is better in both directions.  When every objective
+    coefficient is an integer, relaxation bounds are rounded before pruning.
     """
-    lp = ip.base
     sense = 1 if lp.direction == "min" else -1
-    int_idx = [i for i, v in enumerate(lp.variables) if v.name in ip.integral]
-    int_set = set(int_idx)
-    can_round = all(
-        lp.objective[i] == 0 or (i in int_set and lp.objective[i].denominator == 1)
-        for i in range(len(lp.variables))
-    )
+    can_round = all(c.denominator == 1 for c in lp.objective)
 
     best: LPSolution | None = None
     stack: list[dict[int, tuple[Fraction, Fraction]]] = [{}]
@@ -392,9 +368,9 @@ def solve_ilp(ip: IntegerProgram, certificate=None) -> LPSolution:
             if (math.ceil(bound) if can_round else bound) >= sense * best.objective_value:
                 continue
         fractional = [
-            (i, sol.assignment[lp.variables[i].name])
-            for i in int_idx
-            if sol.assignment[lp.variables[i].name].denominator != 1
+            (i, value)
+            for i, var in enumerate(lp.variables)
+            if (value := sol.assignment[var.name]).denominator != 1
         ]
         if not fractional:
             best = sol

@@ -8,7 +8,7 @@ from math import prod
 
 from dodgsonyoung import Graph, Profile, gain_matrix, graph, set_family, tally
 from dodgsonyoung.exact import majority_threshold
-from dodgsonyoung.lp import IntegerProgram, LinearProgram, linear_program, solve_lp
+from dodgsonyoung.lp import LinearProgram, linear_program, solve_lp
 
 CANDIDATE_POOL = ("a", "b", "c", "d", "e", "f")
 INF = float("inf")
@@ -20,6 +20,12 @@ def dense(con, n: int) -> list[Fraction]:
     for j, a in con.coeffs:
         row[j] = a
     return row
+
+
+def sparse(row) -> dict:
+    """A dense row as the ``{column: coefficient}`` mapping a `Constraint` takes;
+    the reverse of `dense`.  Zeros are kept, for the constraint to check and drop."""
+    return dict(enumerate(row))
 
 
 def ic_grid(seed: int) -> list[Profile]:
@@ -89,12 +95,8 @@ def random_packing_family(rng: random.Random, kappa_target: int, max_base: int =
     return set_family(base, family)
 
 
-def grid_solve_ilp(ip: IntegerProgram):
-    """Exhaustive grid enumeration over the integral lattice; None if infeasible.
-
-    Only valid when every variable is integral with finite bounds.
-    """
-    lp = ip.base
+def grid_solve_ilp(lp: LinearProgram):
+    """Exhaustive grid enumeration over the integral lattice; None if infeasible."""
     ranges = []
     for var in lp.variables:
         lo = var.lower
@@ -125,11 +127,11 @@ def grid_solve_ilp(ip: IntegerProgram):
 def _rows(coeffs, rel, rhs):
     """The rows of one drawn constraint: an ``=`` draw is a ``<=`` row and a
     ``>=`` row, since programs have no ``=`` rows."""
-    return [(coeffs, r, rhs) for r in (("<=", ">=") if rel == "=" else (rel,))]
+    return [(sparse(coeffs), r, rhs) for r in (("<=", ">=") if rel == "=" else (rel,))]
 
 
 def random_bounded_ilp(rng: random.Random, max_vars: int = 12, max_range: int = 6,
-                       max_grid: int = 4096) -> IntegerProgram:
+                       max_grid: int = 4096) -> LinearProgram:
     nv = rng.randint(1, max_vars)
     ranges = []
     budget = max_grid
@@ -150,8 +152,7 @@ def random_bounded_ilp(rng: random.Random, max_vars: int = 12, max_range: int = 
         rel = rng.choice(("<=", ">=", "="))
         rhs = sum(a * x for a, x in zip(coeffs, anchor)) + rng.randint(-3, 3)
         constraints += _rows(coeffs, rel, rhs)
-    lp = linear_program(rng.choice(("min", "max")), variables, objective, constraints)
-    return IntegerProgram(lp, frozenset(name for name, _, _ in variables))
+    return linear_program(rng.choice(("min", "max")), variables, objective, constraints)
 
 
 def random_lp(rng: random.Random, max_vars: int = 5, max_rows: int = 4) -> LinearProgram:
@@ -229,13 +230,13 @@ def per_order_dodgson_rows(profile: Profile, c: str, *, weak: bool):
     variables = [(f"m[{g},{j}]", 0, table[g][1]) for g, j, _ in cols]
     objective = [j for _, j, _ in cols]
     constraints = [
-        ([1 if h == g else 0 for h, _, _ in cols], "<=", count)
+        (sparse(1 if h == g else 0 for h, _, _ in cols), "<=", count)
         for g, (_, count, passed) in enumerate(table)
         if passed
     ]
     for k, have in baseline.items():
         if thr > have:
-            constraints.append(([1 if k in gains else 0 for _, _, gains in cols], ">=", thr - have))
+            constraints.append((sparse(1 if k in gains else 0 for _, _, gains in cols), ">=", thr - have))
     return variables, objective, constraints
 
 
@@ -247,7 +248,7 @@ def per_order_young_rows(profile: Profile, c: str, *, weak: bool):
         counts[order] = counts.get(order, 0) + mult
     variables = [(f"y[{g}]", 0, count) for g, count in enumerate(counts.values())]
     constraints = [
-        ([1 if order.index(c) < order.index(k) else -1 for order in counts], ">=", 0 if weak else 1)
+        (sparse(1 if order.index(c) < order.index(k) else -1 for order in counts), ">=", 0 if weak else 1)
         for k in profile.candidates
         if k != c
     ]
@@ -321,7 +322,7 @@ def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:
             objective.append(j)
             meta.append((i, j))
     constraints = [
-        ([1 if vi == i else 0 for vi, _ in meta], relation, 1)
+        (sparse(1 if vi == i else 0 for vi, _ in meta), relation, 1)
         for i in range(len(orders))
         for relation in ("<=", ">=")
     ]
@@ -333,7 +334,7 @@ def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:
         for i, j in meta:
             idx = orders[i].index(c)
             coeffs.append(1 if idx - j <= orders[i].index(k) < idx else 0)
-        constraints.append((coeffs, ">=", Fraction(len(orders), 2) - baseline))
+        constraints.append((sparse(coeffs), ">=", Fraction(len(orders), 2) - baseline))
     return solve_lp(linear_program("min", variables, objective, constraints)).objective_value
 
 
@@ -342,7 +343,7 @@ def per_voter_young_star(profile: Profile, c: str) -> Fraction:
     orders = profile.expanded()
     variables = [(f"y[{i + 1}]", 0, 1) for i in range(len(orders))]
     constraints = [
-        ([1 if order.index(c) < order.index(k) else -1 for order in orders], ">=", 0)
+        (sparse(1 if order.index(c) < order.index(k) else -1 for order in orders), ">=", 0)
         for k in profile.candidates
         if k != c
     ]

@@ -36,6 +36,7 @@ from oracles import (
     random_lp,
     random_packing_family,
     random_profile,
+    sparse,
 )
 from test_cli import GOLDEN, GOLDEN_CASES, _expand
 
@@ -194,12 +195,11 @@ def _verify_exact(lp, assignment):
         assert lhs <= con.rhs if con.relation == "<=" else lhs >= con.rhs
 
 
-def _solve_ilp_checked(ip):
-    sol = solve_ilp(ip)
+def _solve_ilp_checked(lp):
+    sol = solve_ilp(lp)
     if sol.status == "optimal":
-        _verify_exact(ip.base, sol.assignment)
-        for name in ip.integral:
-            assert sol.assignment[name].denominator == 1
+        _verify_exact(lp, sol.assignment)
+        assert all(value.denominator == 1 for value in sol.assignment.values())
     return sol
 
 
@@ -207,9 +207,9 @@ def test_criterion_8_lp_ilp_engine():
     rng = random.Random(8008)
     grid_checked = 0
     for _ in range(100):
-        ip = random_bounded_ilp(rng)
-        expected = grid_solve_ilp(ip)
-        got = _solve_ilp_checked(ip)
+        lp = random_bounded_ilp(rng)
+        expected = grid_solve_ilp(lp)
+        got = _solve_ilp_checked(lp)
         if expected is None:
             assert got.status == "infeasible"
         else:
@@ -228,9 +228,9 @@ def test_criterion_8_lp_ilp_engine():
         [("x1", 0, 10), ("x2", 0, 10), ("x3", 0, 10), ("x4", 0, 10)],
         [F(-3, 4), 150, F(-1, 50), 6],
         [
-            ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
-            ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
-            ([0, 0, 1, 0], "<=", 1),
+            (sparse([F(1, 4), -60, F(-1, 25), 9]), "<=", 0),
+            (sparse([F(1, 2), -90, F(-1, 50), 3]), "<=", 0),
+            (sparse([0, 0, 1, 0]), "<=", 1),
         ],
     )
     sol = solve_lp(beale)

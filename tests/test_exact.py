@@ -31,7 +31,7 @@ from dodgsonyoung.exact import (
     dodgson_rows,
     young_rows,
 )
-from dodgsonyoung.lp import IntegerProgram, linear_program, solve_ilp, solve_lp
+from dodgsonyoung.lp import linear_program, solve_ilp, solve_lp
 from oracles import (
     dodgson_score_dp,
     ic_grid,
@@ -329,7 +329,7 @@ class TestMergedPrograms:
     @staticmethod
     def _optimum(sense, rows, weak):
         lp = linear_program(sense, *rows)
-        sol = solve_lp(lp) if weak else solve_ilp(IntegerProgram(lp, frozenset(v.name for v in lp.variables)))
+        sol = solve_lp(lp) if weak else solve_ilp(lp)
         return sol.status, sol.objective_value
 
     def test_same_optimum_and_replayable_witnesses_on_a_seeded_grid(self):
@@ -349,7 +349,7 @@ class TestMergedPrograms:
                 ):
                     for weak in (False, True):
                         rows, ref = merged(p, c, weak=weak), reference(p, c, weak=weak)
-                        rival_rows = [tuple(a) for a, rel, _ in rows[2] if rel == ">="]
+                        rival_rows = [tuple(a.items()) for a, rel, _ in rows[2] if rel == ">="]
                         assert len(set(rival_rows)) == len(rival_rows)
                         assert self._optimum(sense, rows, weak) == self._optimum(sense, ref, weak)
                         programs += 1
@@ -373,7 +373,7 @@ class TestMergedPrograms:
         )
         variables, _, constraints = young_rows(p, "a", weak=False)
         assert [(name, upper) for name, _, upper in variables] == [("y[0]", 5), ("y[1]", 5)]
-        assert constraints == [([1, -1], ">=", 1)]
+        assert constraints == [({0: 1, 1: -1}, ">=", 1)]
         score, kept = young_score_with_subset(p, "a")
         assert (score, kept) == (9, ((0, 2), (1, 3), (2, 3), (3, 1)))
         assert validate_young_witness(p, "a", score, kept)
@@ -402,8 +402,7 @@ class TestCertifiedYoungScores:
             if p.num_voters <= SUBSET_MAX_VOTERS:
                 assert score == young_score_bruteforce(p, c)
             else:
-                lp = linear_program("max", *young_rows(p, c, weak=False))
-                sol = solve_ilp(IntegerProgram(lp, frozenset(v.name for v in lp.variables)))
+                sol = solve_ilp(linear_program("max", *young_rows(p, c, weak=False)))
                 assert score == (sol.objective_value if sol.status == "optimal" else 0)
             assert validate_young_witness(p, c, score, kept)
             scores.append(score)

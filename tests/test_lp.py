@@ -10,7 +10,6 @@ from dodgsonyoung.exact import dodgson_certificate, young_certificate, young_row
 from dodgsonyoung.homogeneous import dodgson_star_program, young_star_program
 from dodgsonyoung.lp import (
     Constraint,
-    IntegerProgram,
     LinearProgram,
     Variable,
     dual_bound,
@@ -26,6 +25,7 @@ from oracles import (
     random_bounded_ilp,
     random_lp,
     scipy_linprog,
+    sparse,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -35,8 +35,7 @@ CERTIFICATES = {"dodgson-star": dodgson_certificate, "young-star": young_certifi
 
 def young_program(profile, c):
     """The exact Young keep program of c, at the strict threshold."""
-    lp = linear_program("max", *young_rows(profile, c, weak=False))
-    return IntegerProgram(lp, frozenset(v.name for v in lp.variables))
+    return linear_program("max", *young_rows(profile, c, weak=False))
 
 
 
@@ -47,9 +46,9 @@ BEALE = linear_program(
     [("x1", 0, 10), ("x2", 0, 10), ("x3", 0, 10), ("x4", 0, 10)],
     [F(-3, 4), 150, F(-1, 50), 6],
     [
-        ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
-        ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
-        ([0, 0, 1, 0], "<=", 1),
+        (sparse([F(1, 4), -60, F(-1, 25), 9]), "<=", 0),
+        (sparse([F(1, 2), -90, F(-1, 50), 3]), "<=", 0),
+        (sparse([0, 0, 1, 0]), "<=", 1),
     ],
 )
 
@@ -74,17 +73,17 @@ class TestSolveLP:
         assert sol["x"] == 3
 
     def test_infeasible_pair(self):
-        lp = linear_program("min", [("x", 0, 5)], [1], [([1], ">=", 2), ([1], "<=", 1)])
+        lp = linear_program("min", [("x", 0, 5)], [1], [(sparse([1]), ">=", 2), (sparse([1]), "<=", 1)])
         assert solve_lp(lp).status == "infeasible"
 
     def test_crossed_bounds_infeasible(self):
         assert solve_lp(linear_program("min", [("x", 2, 1)], [1], [])).status == "infeasible"
 
     def test_fixed_variables_only(self):
-        sol = solve_lp(linear_program("min", [("x", 2, 2)], [3], [([1], "<=", 2)]))
+        sol = solve_lp(linear_program("min", [("x", 2, 2)], [3], [(sparse([1]), "<=", 2)]))
         assert sol.status == "optimal"
         assert sol.objective_value == 6
-        bad = solve_lp(linear_program("min", [("x", 2, 2)], [3], [([1], "<=", 1)]))
+        bad = solve_lp(linear_program("min", [("x", 2, 2)], [3], [(sparse([1]), "<=", 1)]))
         assert bad.status == "infeasible"
 
     def test_degenerate_equalities(self):
@@ -92,7 +91,8 @@ class TestSolveLP:
             "min",
             [("x", 0, 10), ("y", 0, 10)],
             [1, 1],
-            [([1, 1], ">=", 4), ([2, 2], ">=", 8)],  # dependent rows, both tight at the optimum
+            # dependent rows, both tight at the optimum
+            [(sparse([1, 1]), ">=", 4), (sparse([2, 2]), ">=", 8)],
         )
         sol = solve_lp(lp)
         assert sol.status == "optimal"
@@ -104,7 +104,7 @@ class TestSolveLP:
             "min",
             [("x21", 0, 1), ("x22", 0, 1), ("x31", 0, 1)],
             [1, 2, 1],
-            [([1, 1, 0], "<=", 1), ([1, 1, 1], ">=", F(1, 2))],
+            [(sparse([1, 1, 0]), "<=", 1), (sparse([1, 1, 1]), ">=", F(1, 2))],
         )
         sol = solve_lp(lp)
         assert sol.objective_value == F(1, 2)
@@ -133,10 +133,10 @@ class TestSolveLP:
             [("w1", 0, 10), ("w2", 0, 10), ("w3", 0, 10)],
             [0, 0, 1],
             [
-                ([F(1, 4), F(1, 2), 0], ">=", F(3, 4)),
-                ([-60, -90, 0], ">=", -150),
-                ([F(-1, 25), F(-1, 50), 1], ">=", F(1, 50)),
-                ([9, 3, 0], ">=", -6),
+                (sparse([F(1, 4), F(1, 2), 0]), ">=", F(3, 4)),
+                (sparse([-60, -90, 0]), ">=", -150),
+                (sparse([F(-1, 25), F(-1, 50), 1]), ">=", F(1, 50)),
+                (sparse([9, 3, 0]), ">=", -6),
             ],
         )
         sol = solve_lp(lp)
@@ -178,7 +178,7 @@ MIN_LP = linear_program(
     "min",
     [("x1", 0, 4), ("x2", 1, 5)],
     [1, 2],
-    [([1, 1], ">=", 3), ([1, 0], "<=", 2)],
+    [(sparse([1, 1]), ">=", 3), (sparse([1, 0]), "<=", 2)],
 )
 # max 3x + 2y, x + y <= 4, x + 3y <= 6, 2x >= 6, x in [0, 3], y in [0, 4]:
 # the optimum is 11 at (3, 1).
@@ -186,7 +186,7 @@ MAX_LP = linear_program(
     "max",
     [("x", 0, 3), ("y", 0, 4)],
     [3, 2],
-    [([1, 1], "<=", 4), ([1, 3], "<=", 6), ([2, 0], ">=", 6)],
+    [(sparse([1, 1]), "<=", 4), (sparse([1, 3]), "<=", 6), (sparse([2, 0]), ">=", 6)],
 )
 
 
@@ -246,32 +246,23 @@ class TestCertificate:
 
 class TestSolveILP:
     def test_round_down_relaxation(self):
-        ip = IntegerProgram(linear_program("max", [("x", 0, F(5, 2))], [1], []), frozenset({"x"}))
-        sol = solve_ilp(ip)
+        sol = solve_ilp(linear_program("max", [("x", 0, F(5, 2))], [1], []))
         assert sol.objective_value == 2
         assert sol["x"] == 2
 
     def test_empty_integer_window(self):
-        ip = IntegerProgram(
-            linear_program("max", [("x", F(1, 3), F(2, 3))], [1], []), frozenset({"x"})
-        )
-        assert solve_ilp(ip).status == "infeasible"
-
-    def test_integral_variables_need_finite_bounds(self):
-        with pytest.raises(ValueError):  # raised by the variable itself
-            IntegerProgram(linear_program("max", [("x", 0, None)], [1], []), frozenset({"x"}))
-        with pytest.raises(ValueError):
-            IntegerProgram(linear_program("max", [("x", 0, 1)], [1], []), frozenset({"y"}))
+        lp = linear_program("max", [("x", F(1, 3), F(2, 3))], [1], [])
+        assert solve_ilp(lp).status == "infeasible"
 
     def test_relaxation_bounds_minimization(self):
         rng = random.Random(99)
         for _ in range(40):
-            ip = random_bounded_ilp(rng, max_vars=4, max_grid=256)
-            relaxed = solve_lp(ip.base)
-            integral = solve_ilp(ip)
+            lp = random_bounded_ilp(rng, max_vars=4, max_grid=256)
+            relaxed = solve_lp(lp)
+            integral = solve_ilp(lp)
             if integral.status != "optimal" or relaxed.status != "optimal":
                 continue
-            if ip.base.direction == "min":
+            if lp.direction == "min":
                 assert relaxed.objective_value <= integral.objective_value
             else:
                 assert relaxed.objective_value >= integral.objective_value
@@ -280,9 +271,9 @@ class TestSolveILP:
         rng = random.Random(2718)
         solved = 0
         for _ in range(60):
-            ip = random_bounded_ilp(rng, max_vars=4, max_grid=512)
-            expected = grid_solve_ilp(ip)
-            got = solve_ilp(ip)
+            lp = random_bounded_ilp(rng, max_vars=4, max_grid=512)
+            expected = grid_solve_ilp(lp)
+            got = solve_ilp(lp)
             if expected is None:
                 assert got.status == "infeasible"
             else:
@@ -292,19 +283,30 @@ class TestSolveILP:
         assert solved > 20
 
     def test_mixed_integer_continuous(self):
+        # With y continuous the optimum would be 29/4 at x = 7, y = 1/4; an
+        # integral y <= 3/4 is 0, so the optimum is 7 at x = 7.
         lp = linear_program(
             "max",
             [("x", 0, 10), ("y", 0, 10)],
             [1, 1],
-            [([1, 2], "<=", F(15, 2)), ([0, 1], "<=", F(3, 4))],
+            [(sparse([1, 2]), "<=", F(15, 2)), (sparse([0, 1]), "<=", F(3, 4))],
         )
-        sol = solve_ilp(IntegerProgram(lp, frozenset({"x"})))
+        sol = solve_ilp(lp)
         assert sol.status == "optimal"
-        assert sol["x"].denominator == 1
-        # x=7 forces y down to 1/4 but still beats x=6, y=3/4
-        assert sol["x"] == 7
-        assert sol["y"] == F(1, 4)
-        assert sol.objective_value == F(29, 4)
+        assert sol.objective_value == grid_solve_ilp(lp) == 7
+        assert (sol["x"], sol["y"]) == (7, 0)
+        assert sol["y"].denominator == 1
+
+    def test_branches_on_a_variable_the_objective_ignores(self):
+        # max x with x <= 2y and 2y <= 3: the relaxation takes y = 3/2, which
+        # costs nothing, so only branching on y finds the optimum x = 2.
+        lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [1, 0],
+                            [({0: 1, 1: -2}, "<=", 0), ({1: 2}, "<=", 3)])
+        relaxed = solve_lp(lp)
+        assert (relaxed.objective_value, relaxed["x"], relaxed["y"]) == (3, 3, F(3, 2))
+        sol = solve_ilp(lp)
+        assert (sol.objective_value, sol["x"], sol["y"]) == (2, 2, 1)
+        assert grid_solve_ilp(lp) == 2
 
     @staticmethod
     def counted_lp_calls(monkeypatch):
@@ -318,32 +320,28 @@ class TestSolveILP:
         return calls
 
     def test_certified_integral_root_ends_the_search(self, monkeypatch):
-        lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [1, 1], [([1, 1], "<=", 4)])
-        ip = IntegerProgram(lp, frozenset({"x", "y"}))
+        lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [1, 1], [(sparse([1, 1]), "<=", 4)])
         calls = self.counted_lp_calls(monkeypatch)
         pivots = []
         monkeypatch.setattr(lp_module._Simplex, "_pivot", lambda *args: pivots.append(args))
-        sol = solve_ilp(ip, ([4, 0], [1]))
+        sol = solve_ilp(lp, ([4, 0], [1]))
         assert (sol.objective_value, sol["x"], sol["y"]) == (4, 4, 0)
         assert calls == [(([4, 0], [1]),)] and pivots == []
 
     # Its root optimum is x = 3, y = 3/2 of value 12, which the multipliers
     # 5/4 and 1/4 prove; its integer optimum is 10 at x = y = 2.
-    FRACTIONAL_ROOT = IntegerProgram(
-        linear_program("max", [("x", 0, 10), ("y", 0, 10)], [3, 2],
-                       [([2, 2], "<=", 9), ([2, -2], "<=", 3)]),
-        frozenset({"x", "y"}),
-    )
+    FRACTIONAL_ROOT = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [3, 2],
+                                     [(sparse([2, 2]), "<=", 9), (sparse([2, -2]), "<=", 3)])
 
     def test_certified_fractional_root_still_branches(self, monkeypatch):
-        ip = self.FRACTIONAL_ROOT
+        lp = self.FRACTIONAL_ROOT
         certificate = ([3, F(3, 2)], [F(5, 4), F(1, 4)])
-        assert dual_bound(ip.base, certificate[1]) == 12
+        assert dual_bound(lp, certificate[1]) == 12
         calls = self.counted_lp_calls(monkeypatch)
-        sol = solve_ilp(ip, certificate)
+        sol = solve_ilp(lp, certificate)
         # only the root call gets the certificate
         assert len(calls) > 1 and calls[0] == (certificate,) and set(calls[1:]) == {()}
-        assert sol == solve_ilp(ip)
+        assert sol == solve_ilp(lp)
         assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
 
     @pytest.mark.parametrize(
@@ -367,8 +365,8 @@ class TestSolveILP:
 
         monkeypatch.setattr(lp_module, "solve_lp", recorded)
         lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [3, 2],
-                            [([2, 2], "<=", 9), ([2, -2], "<=", 3)])
-        sol = solve_ilp(IntegerProgram(lp, frozenset({"x", "y"})))
+                            [(sparse([2, 2]), "<=", 9), (sparse([2, -2]), "<=", 3)])
+        sol = solve_ilp(lp)
         assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
         assert len(nodes) > 1 and set(nodes) == {"max"}
 
@@ -383,33 +381,41 @@ class TestProgramTypes:
             linear_program("min", [("x", 0, 1)], [1, 2], [])
         for relation in ("<", "="):
             with pytest.raises(ValueError, match="bad relation"):
-                linear_program("min", [("x", 0, 1)], [1], [([1], relation, 0)])
-        with pytest.raises(ValueError, match="constraint length does not match variable count"):
-            linear_program("min", [("x", 0, 1), ("y", 0, 1)], [1, 1], [([1], "<=", 1)])
+                linear_program("min", [("x", 0, 1)], [1], [({0: 1}, relation, 0)])
+        with pytest.raises(ValueError, match="constraint column 1 out of range 0..0"):
+            linear_program("min", [("x", 0, 1)], [1], [({1: 1}, "<=", 1)])
 
     def test_dense_and_mapping_rows_build_equal_constraints(self):
-        con = Constraint([0, 2, 0, F(-1, 3)], "<=", 3)
+        # `oracles.sparse` turns a dense row into the mapping a row is built from
+        con = Constraint(sparse([0, 2, 0, F(-1, 3)]), "<=", 3)
         assert con.coeffs == ((1, F(2)), (3, F(-1, 3)))
         assert all(type(a) is F for _, a in con.coeffs)
         assert con == Constraint({3: F(-1, 3), 1: 2, 0: 0}, "<=", 3)
+        assert dense(con, 4) == [0, 2, 0, F(-1, 3)]
         variables = [(name, 0, 1) for name in "wxyz"]
-        from_dense = linear_program("min", variables, [1] * 4, [([0, 2, 0, F(-1, 3)], "<=", 3)])
+        from_dense = linear_program("min", variables, [1] * 4, [(sparse([0, 2, 0, F(-1, 3)]), "<=", 3)])
         assert from_dense == linear_program("min", variables, [1] * 4, [({1: 2, 3: F(-1, 3)}, "<=", 3)])
 
+    def test_rows_must_be_mappings(self):
+        for coeffs in ([1, 0], (1, 0), [], ((0, 1),)):
+            with pytest.raises(TypeError, match="mapping"):
+                Constraint(coeffs, "<=", 1)
+            with pytest.raises(TypeError, match="mapping"):
+                linear_program("min", [("x", 0, 1), ("y", 0, 1)], [1, 1], [(coeffs, "<=", 1)])
+
     def test_row_input_is_checked_before_zeros_drop(self):
-        for coeffs in ([0.0, 1], {0: 0.0, 1: 1}):
+        for coeffs in ({0: 0.0}, {0: 0.0, 1: 1}, sparse([0.0, 1])):
             with pytest.raises(TypeError):
                 Constraint(coeffs, "<=", 1)
             with pytest.raises(TypeError):
                 linear_program("min", [("x", 0, 1), ("y", 0, 1)], [1, 1], [(coeffs, "<=", 1)])
         variables = [("x", 0, 1), ("y", 0, 1)]
-        for coeffs in ([1], [0], [1, 0, 0], {2: 1}, {-1: 1}, {"x": 1}):
+        for coeffs in ({2: 1}, {-1: 1}, {"x": 1}, {True: 1}):
             with pytest.raises(ValueError):
                 linear_program("min", variables, [1, 1], [(coeffs, "<=", 1)])
         x, y = Variable("x", 0, 1), Variable("y", 0, 1)
-        for con in (Constraint([1], "<=", 1), Constraint([1, 0, 0], "<=", 1), Constraint({2: 1}, "<=", 1)):
-            with pytest.raises(ValueError):
-                LinearProgram("min", (x, y), (F(1), F(1)), (con,))
+        with pytest.raises(ValueError):
+            LinearProgram("min", (x, y), (F(1), F(1)), (Constraint({2: 1}, "<=", 1),))
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
@@ -420,8 +426,8 @@ class TestProgramTypes:
     def test_floats_rejected_without_linear_program(self):
         x = Variable("x", 0, 1)
         programs = [
-            lambda: LinearProgram("max", (x,), (F(1),), (Constraint((F(3),), "<=", 0.1),)),
-            lambda: LinearProgram("max", (x,), (F(1),), (Constraint((0.5,), "<=", F(1)),)),
+            lambda: LinearProgram("max", (x,), (F(1),), (Constraint({0: F(3)}, "<=", 0.1),)),
+            lambda: LinearProgram("max", (x,), (F(1),), (Constraint({0: 0.5}, "<=", F(1)),)),
             lambda: LinearProgram("max", (x,), (0.5,)),
             lambda: LinearProgram("max", (Variable("x", F(0), 2.5),), (F(1),)),
             lambda: LinearProgram("max", (Variable("x", -0.5, 1),), (F(1),)),
@@ -453,7 +459,7 @@ class TestProgramTypes:
             "max",
             (Variable("x", 0, 3), Variable("y", 0, 5)),
             (1, 1),
-            (Constraint((2, 3), "<=", 7), Constraint((1, -1), ">=", 0)),
+            (Constraint(sparse((2, 3)), "<=", 7), Constraint(sparse((1, -1)), ">=", 0)),
         )
         assert all(type(a) is F for con in lp.constraints for a in (*dense(con, 2), con.rhs))
         assert all(type(a) is F for v in lp.variables for a in (v.lower, v.upper))

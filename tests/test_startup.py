@@ -17,9 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 
 # The public names of the package (`dir` without underscores, and
-# `from dodgsonyoung import *`), as they were when it imported every module.
+# `from dodgsonyoung import *`), as they were when it imported every module,
+# less `IntegerProgram`, which the pure-integer `solve_ilp` made redundant.
 PUBLIC = [
-    "CapExceededError", "ChainReport", "Constraint", "Graph", "IntegerProgram", "LPSolution",
+    "CapExceededError", "ChainReport", "Constraint", "Graph", "LPSolution",
     "LinearProgram", "MSPCInstance", "PairwiseTally", "ParseError", "Profile", "SCHEMES",
     "Scheme", "SetFamilyInstance", "Variable", "YoungReductionOutput", "alpha",
     "amplify_for_winner", "condorcet_winner", "dodgson_ranking", "dodgson_score",
