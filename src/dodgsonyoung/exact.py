@@ -3,15 +3,17 @@ brute-force oracles.
 
 Each score has one program, built by :func:`dodgson_rows` or
 :func:`young_rows`.  A program sees an order only through a small key: the
-rivals c beats in it (Young) or the rivals above c, nearest first
-(Dodgson).  Orders with the same key form one group, and each group has one
-bounded variable (per lift, for Dodgson) counting its voters, so there are
-at most 2^(k-1) Young columns; Young rival rows that coincide are kept
-once.  This presolve is exact for the ILP and the LP, since a group's value
-splits back over its orders; witnesses are split back that way and stay per
-distinct order.  The exact score solves the program as an ILP at the strict
-majority threshold; its LP relaxation at the weak threshold is the starred
-score of :mod:`homogeneous`.  An exact Young score hands
+rivals c beats in it (Young) or the short rivals above c, nearest first,
+with their distances (Dodgson; a rival is short while c lacks the threshold
+against it).  Orders with the same key form one group, and each group has
+one bounded variable (per lift, for Dodgson) counting its voters, so there
+are at most 2^(k-1) Young columns; Young rival rows that coincide are kept
+once, and a Dodgson lift is kept only when it ends just above a short
+rival.  This presolve is exact for the ILP and the LP, since a group's
+value splits back over its orders; witnesses are split back that way and
+stay per distinct order.  The exact score solves the program as an ILP at
+the strict majority threshold; its LP relaxation at the weak threshold is
+the starred score of :mod:`homogeneous`.  An exact Young score hands
 :func:`young_certificate` of its strict program to the root of branch and
 bound, so that when the one-row bound min(n, 2 N(c,k) - 1) is met by an
 integral point no simplex is built.  The oracle routes never touch the
@@ -117,27 +119,33 @@ def _split(members, values):
 
 
 def _dodgson_program(profile: Profile, c: CandidateId, weak: bool):
-    """:func:`dodgson_rows` and its groups: ``(passed, members)`` per column group."""
+    """:func:`dodgson_rows` and its groups: ``(lifts, members)`` per column group,
+    ``lifts`` being the ``(distance, rival)`` pairs of its columns."""
     table, baseline = gain_matrix(profile, c)
     n = profile.num_voters
     thr = Fraction(n, 2) if weak else majority_threshold(n)
-    groups = _merge((passed, g, count) for g, (_, count, passed) in enumerate(table) if passed)
-    caps = [sum(count for _, count in members) for _, members in groups]
-    cols = [(h, j, gains) for h, (passed, _) in enumerate(groups) for j, gains in enumerate(passed, 1)]
-    variables = [(f"m[{h},{j}]", 0, caps[h]) for h, j, _ in cols]
-    objective = [j for _, j, _ in cols]
-    constraints, start = [], 0
-    for h, (passed, _) in enumerate(groups):
-        if len(passed) > 1:
-            constraints.append((dict.fromkeys(range(start, start + len(passed)), 1), "<=", caps[h]))
-        start += len(passed)
-    # One pass over the columns: a lift's column joins the row of each rival it passes.
+    # One row per short rival: one that c does not yet beat at the threshold.
     rival = {k: {} for k, have in baseline.items() if thr > have}
-    for col, (_, _, gains) in enumerate(cols):
-        for k in gains:
-            if k in rival:
-                rival[k][col] = 1
-    constraints += [(rival[k], ">=", thr - baseline[k]) for k in rival]
+
+    def key(order):
+        # The short rivals above c, nearest first, each with the lift that ends just above it.
+        idx = order.index(c)
+        return tuple((j, order[idx - j]) for j in range(1, idx + 1) if order[idx - j] in rival)
+
+    groups = _merge((key(order), g, count) for g, (order, count, _) in enumerate(table))
+    groups = [(lifts, members) for lifts, members in groups if lifts]
+    variables, objective, constraints = [], [], []
+    for h, (lifts, members) in enumerate(groups):
+        cap = sum(count for _, count in members)
+        start = len(variables)
+        for i, (j, k) in enumerate(lifts):
+            variables.append((f"m[{h},{j}]", 0, cap))
+            objective.append(j)
+            # Rival k's row holds this lift and every deeper one of the group.
+            rival[k].update(dict.fromkeys(range(start + i, start + len(lifts)), 1))
+        if len(lifts) > 1:
+            constraints.append((dict.fromkeys(range(start, len(variables)), 1), "<=", cap))
+    constraints += [(cols, ">=", thr - baseline[k]) for k, cols in rival.items()]
     return (variables, objective, constraints), groups
 
 
@@ -145,20 +153,26 @@ def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
     """Lift program for c as the ``(variables, objective, constraints)`` of
     :func:`linear_program`.
 
-    Orders with the same rivals above c, nearest first (the same ``passed``
-    in :func:`gain_matrix`), form one group.  Variable ``m[h,j]`` counts the
-    voters of group h in which c is lifted j positions; it costs j swaps per
-    voter and is bounded by the group's voters, which a capacity row shares
-    out over the lifts when there are two or more.  Each rival must end up
-    with at least ``floor(n/2)+1`` voters preferring c (the strict majority
-    of the exact score) or, when ``weak``, ``n/2`` (its closure, whose LP
-    value is the starred score).  No two rival rows coincide: each lift
-    passes one more rival, so two rivals above c never share a column set.
+    Each rival must end up with at least ``floor(n/2)+1`` voters preferring
+    c (the strict majority of the exact score) or, when ``weak``, ``n/2``
+    (its closure, whose LP value is the starred score); a rival short of it
+    gets a row.  Only the lifts that end just above a short rival are kept:
+    any other lift covers the same rows as the nearest kept lift below it,
+    at a higher cost and against the same capacity.  Orders with the same
+    short rivals above c, nearest first, at the same distances form one
+    group, and an order with none gets no column, so a (weak) Condorcet
+    winner's program is empty.  Variable ``m[h,j]`` counts the voters of
+    group h in which c is lifted j positions; it costs j swaps per voter and
+    is bounded by the group's voters, which a capacity row shares out over
+    the lifts when there are two or more.  No two rival rows coincide: every
+    short rival stands above c in some order, and in a group the lift that
+    ends just above the nearer of two short rivals, or above the only one of
+    them there, passes that rival and not the other.
 
     Rows are ``{column: coefficient}`` mappings of their nonzeros: a capacity
     row holds its group's lifts, and a rival row the lifts that pass that
-    rival, filled in one pass over the columns.  So the build costs the
-    program's nonzeros, not rows times columns.
+    rival, filled group by group as the columns are made.  So the build costs
+    the program's nonzeros, not rows times columns.
     """
     return _dodgson_program(profile, c, weak)[0]
 
@@ -313,17 +327,15 @@ def dodgson_score_with_moves(profile: Profile, c: CandidateId):
     """Score plus a witness: sorted ``(group, lift, count)`` triples, each lifting
     c ``lift`` positions in ``count`` voters of the g-th distinct order (by
     first appearance, as in :func:`gain_matrix`).  Each merged ``m[h,j]`` is
-    split back over its group's orders by :func:`_split`."""
+    split back over its group's orders by :func:`_split`, as a lift of j."""
     rows, groups = _dodgson_program(profile, c, False)
     sol = solve_ilp(linear_program("min", *rows))
     if sol.status != "optimal":  # pragma: no cover - always feasible for n >= 1
         raise RuntimeError("internal: Dodgson program must be feasible")
     moves = sorted(
-        (g, col + 1, count)
-        for h, (passed, members) in enumerate(groups)
-        for g, col, count in _split(
-            members, [int(sol.assignment[f"m[{h},{j}]"]) for j in range(1, len(passed) + 1)]
-        )
+        (g, lifts[col][0], count)
+        for h, (lifts, members) in enumerate(groups)
+        for g, col, count in _split(members, [int(sol.assignment[f"m[{h},{j}]"]) for j, _ in lifts])
     )
     return int(sol.objective_value), tuple(moves)
 

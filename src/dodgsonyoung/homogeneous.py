@@ -2,15 +2,18 @@
 
 The starred score of a candidate is lim_{q->inf} score(qV)/q.  Its program
 is the LP relaxation of the exact program (see :func:`exact.dodgson_rows`
-and :func:`exact.young_rows`, which merge orders with the same rivals above
-c or the same rivals beaten, and Young's duplicate rival rows) with the
-strict majority threshold closed to a weak one.  Under q-fold replication the
-integer threshold exceeds the weak one by at most 1/2 vote, a gap whose
-per-q share vanishes in the limit, so the relaxation attains the limit
-exactly.  Consequently a starred score is 0 (Dodgson) or n (Young)
-precisely on weak Condorcet winners, where ties are allowed.  Replication
-scales every bound and right-hand side by q and leaves the rows and columns
-as they are, so the program size does not depend on q.
+and :func:`exact.young_rows`, which merge orders with the same short rivals
+above c at the same distances or the same rivals beaten, and Young's
+duplicate rival rows) with the strict majority threshold closed to a weak
+one.  Dodgson's presolve, which keeps only the lifts that end just above a
+rival short of the threshold, is exact for the LP too, so a weak Condorcet
+winner gets an empty program.  Under q-fold replication the integer
+threshold exceeds the weak one by at most 1/2 vote, a gap whose per-q share
+vanishes in the limit, so the relaxation attains the limit exactly.
+Consequently a starred score is 0 (Dodgson) or n (Young) precisely on weak
+Condorcet winners, where ties are allowed.  Replication scales every bound
+and right-hand side by q and leaves the rows and columns as they are, so
+the program size does not depend on q.
 
 Each score first tries a certificate (:func:`exact.dodgson_certificate`,
 :func:`exact.young_certificate`): a greedy point and a dual vector whose

@@ -240,6 +240,14 @@ def per_order_dodgson_rows(profile: Profile, c: str, *, weak: bool):
     return variables, objective, constraints
 
 
+def short_rivals(profile: Profile, c: str, *, weak: bool) -> tuple[str, ...]:
+    """The rivals that fewer voters than the threshold (n // 2 + 1, or n/2 when
+    ``weak``) put below c, read from the tally, in candidate order."""
+    counts = tally(profile)
+    thr = Fraction(profile.num_voters, 2) if weak else majority_threshold(profile.num_voters)
+    return tuple(k for k in profile.candidates if k != c and counts.count(c, k) < thr)
+
+
 def per_order_young_rows(profile: Profile, c: str, *, weak: bool):
     """Reference keep program with no merging: one column ``y[g]`` per distinct
     order g and one row per rival."""

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from itertools import permutations
@@ -40,6 +41,7 @@ from oracles import (
     random_profile,
     scipy_linprog,
     scipy_milp,
+    short_rivals,
 )
 
 CYCLE = parse_profile("candidates: A B C\nvoter: A > B > C\nvoter: B > C > A\nvoter: C > A > B\n")
@@ -322,9 +324,10 @@ class TestWitnessValidation:
 
 class TestMergedPrograms:
     """The row builders merge the orders a program cannot tell apart (Young: the
-    rivals c beats; Dodgson: the rivals above c) and Young's duplicate rival
-    rows (Dodgson has none); `oracles.per_order_*_rows` build the unmerged
-    reference programs."""
+    rivals c beats; Dodgson: the short rivals above c and their distances) and
+    Young's duplicate rival rows (Dodgson has none), and Dodgson keeps only
+    the lifts that end just above a short rival; `oracles.per_order_*_rows`
+    build the unmerged, unpresolved reference programs."""
 
     @staticmethod
     def _optimum(sense, rows, weak):
@@ -360,7 +363,7 @@ class TestMergedPrograms:
                 score, kept = young_score_with_subset(p, c)
                 assert list(kept) == sorted(kept)
                 assert validate_young_witness(p, c, score, kept)
-        assert (programs, shrunk) == (648, 526)
+        assert (programs, shrunk) == (648, 575)
 
     def test_merged_value_splits_across_orders_of_different_multiplicity(self):
         # Young of a: both a-first orders beat b and c (one column, bound 2 + 3),
@@ -377,8 +380,8 @@ class TestMergedPrograms:
         score, kept = young_score_with_subset(p, "a")
         assert (score, kept) == (9, ((0, 2), (1, 3), (2, 3), (3, 1)))
         assert validate_young_witness(p, "a", score, kept)
-        # Dodgson of a: both orders have b just above a (one column m[0,1],
-        # bound 1 + 2, no capacity row); two lifts split 1 + 1.
+        # Dodgson of a: b is the one short rival, just above a in both orders
+        # (one column m[0,1], bound 1 + 2, no capacity row); two lifts split 1 + 1.
         p = parse_profile("candidates: a b c d\nvoter: b > a > c > d\nvoter 2: b > a > d > c\n")
         variables, _, constraints = dodgson_rows(p, "a", weak=False)
         assert [(name, upper) for name, _, upper in variables] == [("m[0,1]", 3)]
@@ -387,6 +390,75 @@ class TestMergedPrograms:
         assert (score, moves) == (2, ((0, 1, 1), (1, 1, 1)))
         assert validate_dodgson_witness(p, "a", score, moves)
 
+
+class TestDodgsonPresolve:
+    """`dodgson_rows` keeps only the lifts that end just above a short rival:
+    one that fewer voters than the threshold put below c.  Checked on a seeded
+    grid past the swap search's caps (k up to 7, up to 3 voters per order)
+    against the deficit DP and the unpresolved per-order programs, and
+    structurally against the short rivals of the tally."""
+
+    @staticmethod
+    def grid():
+        rng = random.Random(2222)
+        profiles = []
+        for i in range(20):
+            k = 3 + i % 5
+            candidates = tuple("abcdefg"[:k])
+            entries = tuple(
+                (tuple(rng.sample(candidates, k)), rng.randint(1, 3)) for _ in range(rng.randint(2, 5))
+            )
+            profiles.append(Profile(candidates, entries))
+        return profiles
+
+    def test_same_optima_as_the_unpresolved_programs(self):
+        def rounded(rows):
+            # Every row and column is integral, so rounding each right-hand
+            # side up keeps the ILP optimum, and spares branch and bound the
+            # half votes of the weak threshold.
+            variables, objective, constraints = rows
+            ceiled = [(a, rel, math.ceil(b)) for a, rel, b in constraints]
+            return linear_program("min", variables, objective, ceiled)
+
+        for p in self.grid():
+            for c in p.candidates:
+                score, moves = dodgson_score_with_moves(p, c)
+                assert score == dodgson_score_dp(p, c)
+                assert validate_dodgson_witness(p, c, score, moves)
+                for weak in (False, True):
+                    rows, ref = dodgson_rows(p, c, weak=weak), per_order_dodgson_rows(p, c, weak=weak)
+                    lp, ref_lp = linear_program("min", *rows), linear_program("min", *ref)
+                    assert solve_lp(lp).objective_value == solve_lp(ref_lp).objective_value
+                    assert solve_ilp(rounded(rows)).objective_value == solve_ilp(rounded(ref)).objective_value
+
+    def test_every_column_ends_just_above_a_short_rival(self):
+        columns = dropped = 0
+        for p in self.grid():
+            orders = list(dict.fromkeys(order for order, _ in p.voters))
+            for c in p.candidates:
+                for weak in (False, True):
+                    short = short_rivals(p, c, weak=weak)
+                    variables, objective, constraints = dodgson_rows(p, c, weak=weak)
+                    rows = [cols for cols, rel, _ in constraints if rel == ">="]
+                    assert len(rows) == len(short)
+                    # A column's lift: its distance and the short rivals it passes.
+                    lifts = [
+                        (j, frozenset(k for k, cols in zip(short, rows) if col in cols))
+                        for col, j in enumerate(objective)
+                    ]
+                    assert all(name.endswith(f",{j}]") for (name, _, _), j in zip(variables, objective))
+                    # Each column is such a lift in some order, and each such lift has a column.
+                    wanted = set()
+                    for order in orders:
+                        idx = order.index(c)
+                        for j in range(1, idx + 1):
+                            if order[idx - j] in short:
+                                wanted.add((j, frozenset(order[idx - j : idx]) & frozenset(short)))
+                            else:
+                                dropped += 1
+                    assert set(lifts) == wanted
+                    columns += len(lifts)
+        assert columns > 0 and dropped > 0
 
 class TestCertifiedYoungScores:
     """`young_score_with_subset` hands `young_certificate` of its strict program
@@ -472,11 +544,15 @@ class TestScoresAgainstScipy:
             for c in candidates:
                 exact = linear_program("min", *dodgson_rows(p, c, weak=False))
                 relaxed = linear_program("min", *dodgson_rows(p, c, weak=True))
-                if not exact.variables:  # c heads every order
-                    assert dodgson_score(p, c) == dodgson_star_score(p, c) == 0
+                # No short rival, no column: c is the (weak) Condorcet winner.
+                if not exact.variables:
+                    assert dodgson_score(p, c) == 0
                 else:
                     _, res = scipy_milp(scipy_opt, exact)
                     assert res.status == 0 and dodgson_score(p, c) == round(res.fun)
+                if not relaxed.variables:
+                    assert dodgson_star_score(p, c) == 0
+                else:
                     _, res = scipy_linprog(scipy_opt, relaxed)
                     assert res.status == 0
                     assert abs(float(dodgson_star_score(p, c)) - res.fun) < 1e-6

@@ -11,7 +11,6 @@ from dodgsonyoung import (
     dodgson_score,
     dodgson_star_ranking,
     dodgson_star_score,
-    gain_matrix,
     homogeneity_check,
     parse_profile,
     replicate,
@@ -48,25 +47,31 @@ def is_weak_condorcet(profile, c):
 
 class TestDodgsonStarProgram:
     def test_structure_matches_move_encoding(self):
+        # n = 5, so a rival is short while fewer than 5/2 voters put c above
+        # it: a and b are (none do), d is not (three do).
+        p = parse_profile("candidates: a b c d\nvoter 3: a > b > c > d\nvoter 2: b > d > a > c\n")
+        prog = dodgson_star_program(p, "c")
+        # One column per (group, lift that ends just above a short rival),
+        # named by its real distance and bounded by the group's voters: in
+        # b > d > a > c the lift of 2 ends above d and is dropped.
+        assert [(v.name, v.lower, v.upper) for v in prog.variables] == [
+            ("m[0,1]", 0, 3), ("m[0,2]", 0, 3), ("m[1,1]", 0, 2), ("m[1,3]", 0, 2),
+        ]
+        assert list(prog.objective) == [1, 2, 1, 3]
+        # a capacity row per group with two or more lifts, then one weak-majority
+        # row per short rival, holding the lifts that pass it
+        assert [(dense(con, 4), con.relation, con.rhs) for con in prog.constraints] == [
+            ([1, 1, 0, 0], "<=", 3),
+            ([0, 0, 1, 1], "<=", 2),
+            ([0, 1, 1, 1], ">=", F(5, 2)),
+            ([1, 1, 0, 1], ">=", F(5, 2)),
+        ]
+        # In the cycle only C is short of 3/2 for A, and it sits just above A
+        # in both orders that rank A below anyone: one group, one lift, no
+        # capacity row.
         prog = dodgson_star_program(CYCLE, "A")
-        table, _ = gain_matrix(CYCLE, "A")
-        # one column per (group of orders with the same rivals above A, lift),
-        # bounded by the group's voters; here every group is a single order
-        groups = list(dict.fromkeys(passed for _, _, passed in table if passed))
-        names = [v.name for v in prog.variables]
-        assert names == [f"m[{h},{j}]" for h, passed in enumerate(groups) for j in range(1, len(passed) + 1)]
-        assert names == ["m[0,1]", "m[0,2]", "m[1,1]"]
-        assert list(prog.objective) == [1, 2, 1]
-        for var in prog.variables:
-            assert var.lower == 0 and var.upper == 1
-        # a capacity row only for a group with two or more lifts: B > C > A;
-        # C > A > B has one lift, whose bound is its capacity
-        le_rows = [con for con in prog.constraints if con.relation == "<="]
-        assert [(dense(con, 3), con.rhs) for con in le_rows] == [([1, 1, 0], 1)]
-        assert not any(con.relation == "=" for con in prog.constraints)
-        # one weak-majority row per rival still short of n/2: only C (w_C = 1)
-        ge_rows = [con for con in prog.constraints if con.relation == ">="]
-        assert [con.rhs for con in ge_rows] == [F(3, 2) - 1]
+        assert [(v.name, v.upper) for v in prog.variables] == [("m[0,1]", 2)]
+        assert [(dense(con, 1), con.relation, con.rhs) for con in prog.constraints] == [([1], ">=", F(1, 2))]
 
     def test_majority_rows_use_half_total(self):
         # a tie already meets n/2, so the rival needs no row
@@ -160,8 +165,8 @@ class TestCertificates:
         assert (dodgson_star_score(p, "a"), young_star_score(p, "a")) == (0, 3)
 
     def test_weak_condorcet_winner_needs_no_multiplier(self):
-        # c ties d: Dodgson* has no rival row and lifts nobody; Young* keeps both voters.
-        assert dodgson_certificate(dodgson_star_program(OPPOSED, "c")) == ([0], [])
+        # c ties d: Dodgson* has no short rival, so no column and no row; Young* keeps both voters.
+        assert dodgson_certificate(dodgson_star_program(OPPOSED, "c")) == ([], [])
         assert young_certificate(young_star_program(OPPOSED, "c")) == ([1, 1], [0])
 
     def test_rival_no_voter_ranks_below_c(self):
@@ -276,9 +281,10 @@ class TestScaleInvariance:
 class TestProgramSize:
     def test_four_schemes_on_the_seed_0_grid(self):
         # Summed (rows, columns, nonzeros) of every candidate's program on the
-        # six seed-0 ic-distinct cells.  The nonzeros were counted on the dense
-        # rows the builders made before rows became sparse, so the sparse
-        # builders drop zeros and nothing else.
+        # six seed-0 ic-distinct cells.  Young's nonzeros were counted on the
+        # dense rows the builders made before rows became sparse, so the sparse
+        # builders drop zeros and nothing else.  Dodgson's keep only the lifts
+        # that end just above a short rival: 452 rows and 1,315 columns before.
         builders = {
             "dodgson": lambda p, c: linear_program("min", *dodgson_rows(p, c, weak=False)),
             "young": lambda p, c: linear_program("max", *young_rows(p, c, weak=False)),
@@ -300,9 +306,9 @@ class TestProgramSize:
                     nonzeros += sum(len(con.coeffs) for con in lp.constraints)
             sizes[name] = (rows, cols, nonzeros)
         assert sizes == {
-            "dodgson": (452, 1315, 2860),
+            "dodgson": (255, 609, 1638),
             "young": (124, 342, 1477),
-            "dodgson-star": (452, 1315, 2860),
+            "dodgson-star": (255, 609, 1638),
             "young-star": (124, 342, 1477),
         }
 
