@@ -13,13 +13,15 @@ rival.  This presolve is exact for the ILP and the LP, since a group's
 value splits back over its orders; witnesses are split back that way and
 stay per distinct order.  The exact score solves the program as an ILP at
 the strict majority threshold; its LP relaxation at the weak threshold is
-the starred score of :mod:`homogeneous`.  An exact Young score hands
-:func:`young_certificate` of its strict program to the root of branch and
-bound, so that when the one-row bound min(n, 2 N(c,k) - 1) is met by an
-integral point no simplex is built.  The oracle routes never touch the
-ILP machinery: Dodgson is a shortest-path search over the literal
-adjacent-swap graph, Young an exhaustive subset enumeration.  Winner and
-Ranking are the methods of a :class:`Scheme` row, ``DODGSON`` or ``YOUNG``.
+the starred score of :mod:`homogeneous`.  All four scores take the one step
+:func:`solve_program`: certify, solve, read the status and split the
+witness.  Exact Young certifies with :func:`young_certificate`, so that when
+the one-row bound min(n, 2 N(c,k) - 1) is met by an integral point no
+simplex is built; exact Dodgson passes no certificate.  The oracle routes
+never touch the ILP machinery: Dodgson is a shortest-path search over the
+literal adjacent-swap graph, Young an exhaustive subset enumeration.
+Winner and Ranking are the methods of a :class:`Scheme` row, ``DODGSON``
+or ``YOUNG``.
 """
 from __future__ import annotations
 
@@ -78,19 +80,13 @@ def _take(profile: Profile, picks):
 
 
 def gain_matrix(profile: Profile, c: CandidateId):
-    """Lift table for c: one ``(order, count, passed)`` entry per distinct order,
-    by first appearance, where ``passed[j-1]`` is the set of rivals c overtakes
-    when lifted j positions (it grows with j); plus ``baseline[k]``, the voters
-    already preferring c over rival k, in candidate order."""
+    """Lift table for c: one ``(order, count)`` entry per distinct order, by
+    first appearance, plus ``baseline[k]``, the voters already preferring c
+    over rival k, in candidate order."""
     _require_candidate(profile, c)
     _require_voters(profile)
     t = tally(profile)
-    table = []
-    for order, count in _order_counts(profile).items():
-        idx = order.index(c)
-        passed = tuple(frozenset(order[idx - j : idx]) for j in range(1, idx + 1))
-        table.append((order, count, passed))
-    return table, {k: t.count(c, k) for k in profile.candidates if k != c}
+    return list(_order_counts(profile).items()), {k: t.count(c, k) for k in profile.candidates if k != c}
 
 
 def _merge(keyed):
@@ -102,25 +98,9 @@ def _merge(keyed):
     return list(groups.items())
 
 
-def _split(members, values):
-    """Split a merged group's column values back onto its ``(g, count)`` members:
-    fill the orders by first appearance, each up to its count, one column after
-    the other.  Yields ``(g, column index, count)``."""
-    left = [count for _, count in members]
-    i = 0
-    for col, value in enumerate(values):
-        while value:
-            share = min(left[i], value)
-            yield members[i][0], col, share
-            left[i] -= share
-            value -= share
-            if not left[i]:
-                i += 1
-
-
 def _dodgson_program(profile: Profile, c: CandidateId, weak: bool):
-    """:func:`dodgson_rows` and its groups: ``(lifts, members)`` per column group,
-    ``lifts`` being the ``(distance, rival)`` pairs of its columns."""
+    """:func:`dodgson_rows` and its groups for :func:`solve_program`, where a
+    lift of j positions is labelled ``(j,)``."""
     table, baseline = gain_matrix(profile, c)
     n = profile.num_voters
     thr = Fraction(n, 2) if weak else majority_threshold(n)
@@ -132,7 +112,7 @@ def _dodgson_program(profile: Profile, c: CandidateId, weak: bool):
         idx = order.index(c)
         return tuple((j, order[idx - j]) for j in range(1, idx + 1) if order[idx - j] in rival)
 
-    groups = _merge((key(order), g, count) for g, (order, count, _) in enumerate(table))
+    groups = _merge((key(order), g, count) for g, (order, count) in enumerate(table))
     groups = [(lifts, members) for lifts, members in groups if lifts]
     variables, objective, constraints = [], [], []
     for h, (lifts, members) in enumerate(groups):
@@ -146,7 +126,8 @@ def _dodgson_program(profile: Profile, c: CandidateId, weak: bool):
         if len(lifts) > 1:
             constraints.append((dict.fromkeys(range(start, len(variables)), 1), "<=", cap))
     constraints += [(cols, ">=", thr - baseline[k]) for k, cols in rival.items()]
-    return (variables, objective, constraints), groups
+    labelled = [(tuple((j,) for j, _ in lifts), members) for lifts, members in groups]
+    return (variables, objective, constraints), labelled
 
 
 def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
@@ -178,7 +159,8 @@ def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
 
 
 def _young_program(profile: Profile, c: CandidateId, weak: bool):
-    """:func:`young_rows` and its groups: ``(beaten, members)`` per column."""
+    """:func:`young_rows` and its groups for :func:`solve_program`: one column
+    each, labelled ``()``."""
     _require_candidate(profile, c)
     _require_voters(profile)
     rivals = tuple(name for name in profile.candidates if name != c)
@@ -194,7 +176,7 @@ def _young_program(profile: Profile, c: CandidateId, weak: bool):
     rhs = 0 if weak else 1
     rows = dict.fromkeys(tuple(1 if beaten[i] else -1 for beaten, _ in groups) for i in range(len(rivals)))
     constraints = [(dict(enumerate(coeffs)), ">=", rhs) for coeffs in rows]
-    return (variables, objective, constraints), groups
+    return (variables, objective, constraints), [(((),), members) for _, members in groups]
 
 
 def young_rows(profile: Profile, c: CandidateId, *, weak: bool):
@@ -317,6 +299,45 @@ def young_certificate(program: LinearProgram):
     return kept, duals
 
 
+def solve_program(lp: LinearProgram, solve, certificate=None, groups=None):
+    """Certify, solve and read one score program: ``(value, witness)``.
+
+    ``solve`` (:func:`solve_ilp` or ``solve_lp``) gets the program and the
+    ``(point, duals)`` pair, or None, of the greedy ``certificate``.  Only
+    the strict keep program can be infeasible, as keeping nobody fails its
+    rows; then no nonempty subset makes c the winner: 0 and ``()``.
+
+    Without ``groups`` the value is the LP optimum, a Fraction, and the
+    witness None.  With them it is the integral optimum, an int.  ``groups``
+    holds ``(labels, members)`` per column group, in column order: a witness
+    label per column and the ``(g, count)`` orders merged into it.  Each
+    column's value is split over its group's orders by first appearance,
+    each up to its count; the witness is the sorted ``(g, *label, count)``.
+    """
+    sol = solve(lp, None if certificate is None else certificate(lp))
+    if sol.status != "optimal":
+        if lp.direction == "max" and any(con.rhs > 0 for con in lp.constraints):
+            return 0, ()
+        raise RuntimeError("internal: score program must be feasible")  # pragma: no cover
+    if groups is None:
+        return sol.objective_value, None
+    columns = iter(lp.variables)
+    witness = []
+    for labels, members in groups:
+        left = [count for _, count in members]
+        i = 0
+        for label in labels:
+            value = int(sol[next(columns).name])
+            while value:
+                share = min(left[i], value)
+                witness.append((members[i][0], *label, share))
+                left[i] -= share
+                value -= share
+                if not left[i]:
+                    i += 1
+    return int(sol.objective_value), tuple(sorted(witness))
+
+
 def dodgson_score(profile: Profile, c: CandidateId) -> int:
     """Minimum number of adjacent swaps making c the Condorcet winner."""
     score, _ = dodgson_score_with_moves(profile, c)
@@ -326,18 +347,10 @@ def dodgson_score(profile: Profile, c: CandidateId) -> int:
 def dodgson_score_with_moves(profile: Profile, c: CandidateId):
     """Score plus a witness: sorted ``(group, lift, count)`` triples, each lifting
     c ``lift`` positions in ``count`` voters of the g-th distinct order (by
-    first appearance, as in :func:`gain_matrix`).  Each merged ``m[h,j]`` is
-    split back over its group's orders by :func:`_split`, as a lift of j."""
+    first appearance, as in :func:`gain_matrix`).  The strict program is
+    solved by branch and bound with no certificate."""
     rows, groups = _dodgson_program(profile, c, False)
-    sol = solve_ilp(linear_program("min", *rows))
-    if sol.status != "optimal":  # pragma: no cover - always feasible for n >= 1
-        raise RuntimeError("internal: Dodgson program must be feasible")
-    moves = sorted(
-        (g, lifts[col][0], count)
-        for h, (lifts, members) in enumerate(groups)
-        for g, col, count in _split(members, [int(sol.assignment[f"m[{h},{j}]"]) for j, _ in lifts])
-    )
-    return int(sol.objective_value), tuple(moves)
+    return solve_program(linear_program("min", *rows), solve_ilp, None, groups)
 
 
 def apply_moves(profile: Profile, c: CandidateId, moves) -> Profile:
@@ -441,23 +454,13 @@ def young_score(profile: Profile, c: CandidateId) -> int:
 
 def young_score_with_subset(profile: Profile, c: CandidateId):
     """Score plus a witness: sorted ``(group, count)`` pairs, each keeping
-    ``count`` voters of the g-th distinct order.  Each merged ``y[h]`` is
-    split back over its group's orders by :func:`_split`.
+    ``count`` voters of the g-th distinct order.
 
     The root relaxation gets :func:`young_certificate` of the program; when
     its point is integral and meets the bound, it is the optimum and branch
     and bound ends at once, and otherwise the search runs as usual."""
     rows, groups = _young_program(profile, c, False)
-    lp = linear_program("max", *rows)
-    sol = solve_ilp(lp, young_certificate(lp))
-    if sol.status == "infeasible":
-        return 0, ()
-    kept = sorted(
-        (g, count)
-        for h, (_, members) in enumerate(groups)
-        for g, _, count in _split(members, [int(sol.assignment[f"y[{h}]"])])
-    )
-    return int(sol.objective_value), tuple(kept)
+    return solve_program(linear_program("max", *rows), solve_ilp, young_certificate, groups)
 
 
 def validate_young_witness(profile: Profile, c: CandidateId, score: int, kept) -> bool:

@@ -15,7 +15,9 @@ Condorcet winners, where ties are allowed.  Replication scales every bound
 and right-hand side by q and leaves the rows and columns as they are, so
 the program size does not depend on q.
 
-Each score first tries a certificate (:func:`exact.dodgson_certificate`,
+Each score is one :func:`exact.solve_program` step with `solve_lp` as the
+solver and no witness, so its value is a Fraction.  It first tries a
+certificate (:func:`exact.dodgson_certificate`,
 :func:`exact.young_certificate`): a greedy point and a dual vector whose
 bound is the one-tally deficit bound (Dodgson*) or min(n, 2 N(c,k))
 (Young*).  `solve_lp` checks both exactly and returns the point when its
@@ -43,11 +45,7 @@ def dodgson_star_score(profile: Profile, c: CandidateId) -> Fraction:
     """Value of the weak-threshold lift LP; equals lim dodgson_score(qV)/q.
     Certified by the greedy of :func:`exact.dodgson_certificate` when it
     meets the deficit bound, solved by the simplex otherwise."""
-    program = dodgson_star_program(profile, c)
-    sol = solve_lp(program, exact.dodgson_certificate(program))
-    if sol.status != "optimal":  # pragma: no cover - lifting everything is feasible
-        raise RuntimeError("internal: Dodgson* program must be feasible")
-    return sol.objective_value
+    return exact.solve_program(dodgson_star_program(profile, c), solve_lp, exact.dodgson_certificate)[0]
 
 
 def young_star_program(profile: Profile, c: CandidateId) -> LinearProgram:
@@ -59,11 +57,7 @@ def young_star_score(profile: Profile, c: CandidateId) -> Fraction:
     """Value of the weak-threshold keep LP; equals lim young_score(qV)/q.
     Certified by the greedy of :func:`exact.young_certificate` when it meets
     min(n, 2 N(c,k)), solved by the simplex otherwise."""
-    program = young_star_program(profile, c)
-    sol = solve_lp(program, exact.young_certificate(program))
-    if sol.status != "optimal":  # pragma: no cover - zero weights are feasible
-        raise RuntimeError("internal: Young* program must be feasible")
-    return sol.objective_value
+    return exact.solve_program(young_star_program(profile, c), solve_lp, exact.young_certificate)[0]
 
 
 # The scorers are looked up at call time, so that rebinding them (as a tracer does) is seen.

@@ -359,7 +359,7 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
     while stack:
         overrides = stack.pop()
         node = _with_bounds(lp, overrides)
-        sol = solve_lp(node) if certificate is None else solve_lp(node, certificate)
+        sol = solve_lp(node, certificate)
         certificate = None  # nodes below the root get none
         if sol.status == "infeasible":
             continue

@@ -226,13 +226,18 @@ def per_order_dodgson_rows(profile: Profile, c: str, *, weak: bool):
     table, baseline = gain_matrix(profile, c)
     n = profile.num_voters
     thr = Fraction(n, 2) if weak else majority_threshold(n)
-    cols = [(g, j, gains) for g, entry in enumerate(table) for j, gains in enumerate(entry[2], 1)]
+    # Lifting c j positions passes the j rivals just above it.
+    cols = [
+        (g, j, frozenset(order[order.index(c) - j : order.index(c)]))
+        for g, (order, _) in enumerate(table)
+        for j in range(1, order.index(c) + 1)
+    ]
     variables = [(f"m[{g},{j}]", 0, table[g][1]) for g, j, _ in cols]
     objective = [j for _, j, _ in cols]
     constraints = [
         (sparse(1 if h == g else 0 for h, _, _ in cols), "<=", count)
-        for g, (_, count, passed) in enumerate(table)
-        if passed
+        for g, (order, count) in enumerate(table)
+        if order.index(c)
     ]
     for k, have in baseline.items():
         if thr > have:

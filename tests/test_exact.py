@@ -59,25 +59,31 @@ def lift_simulation(order, c, j):
     return frozenset(k for k in order if lifted.index(c) < lifted.index(k) <= idx)
 
 
+def lifted_baseline(profile, c, g, j):
+    """Baseline of c once it is lifted j positions in one voter of group g."""
+    return gain_matrix(apply_moves(profile, c, [(g, j, 1)]), c)[1]
+
+
 class TestGainMatrix:
     def test_one_swap_passes_the_rival(self):
         p = parse_profile("candidates: a b\nvoter: b > a")
         table, baseline = gain_matrix(p, "a")
-        assert table == [(("b", "a"), 1, (frozenset({"b"}),))]
+        assert table == [(("b", "a"), 1)]
         assert baseline == {"b": 0}
+        assert lifted_baseline(p, "a", 0, 1) == {"b": 1}
 
     def test_top_ranked_candidate_has_empty_lift_range(self):
         p = parse_profile("candidates: a b\nvoter: a > b")
         table, baseline = gain_matrix(p, "a")
-        assert table[0][2] == ()
+        assert table == [(("a", "b"), 1)]
         assert baseline == {"b": 1}
 
     def test_cycle_voter_gains(self):
-        table, _ = gain_matrix(CYCLE, "A")
+        table, baseline = gain_matrix(CYCLE, "A")
         # voter 2 is B > C > A
-        order, count, passed = table[1]
+        order, count = table[1]
         assert (order, count) == (("B", "C", "A"), 1)
-        assert passed == (frozenset({"C"}), frozenset({"B", "C"}))
+        assert baseline == {"B": 2, "C": 1}
 
     def test_unknown_candidate(self):
         with pytest.raises(ValueError):
@@ -88,20 +94,20 @@ class TestGainMatrix:
         for _ in range(40):
             p = random_profile(rng, 4, 4)
             c = rng.choice(p.candidates)
-            table, _ = gain_matrix(p, c)
-            assert sorted((order, count) for order, count, _ in table) == sorted(
-                Counter(p.expanded()).items()
-            )
-            for order, _, passed in table:
-                assert passed == tuple(
-                    lift_simulation(order, c, j) for j in range(1, order.index(c) + 1)
-                )
+            table, baseline = gain_matrix(p, c)
+            assert sorted(table) == sorted(Counter(p.expanded()).items())
+            for g, (order, _) in enumerate(table):
+                for j in range(1, order.index(c) + 1):
+                    passed = lift_simulation(order, c, j)
+                    gained = lifted_baseline(p, c, g, j)
+                    assert gained == {k: have + (k in passed) for k, have in baseline.items()}
 
     def test_monotone_in_lift_distance(self):
-        table, _ = gain_matrix(CYCLE, "B")
-        for _, _, passed in table:
-            for j in range(1, len(passed)):
-                assert passed[j - 1] <= passed[j]
+        table, baseline = gain_matrix(CYCLE, "B")
+        for g, (order, _) in enumerate(table):
+            gains = [baseline] + [lifted_baseline(CYCLE, "B", g, j) for j in range(1, order.index("B") + 1)]
+            for j in range(1, len(gains)):
+                assert all(gains[j - 1][k] <= gains[j][k] for k in gains[j])
 
 
 class TestDodgsonScore:

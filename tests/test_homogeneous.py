@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from dodgsonyoung import (
     Profile,
     condorcet_winner,
     dodgson_score,
+    dodgson_score_with_moves,
     dodgson_star_ranking,
     dodgson_star_score,
     homogeneity_check,
@@ -17,6 +19,7 @@ from dodgsonyoung import (
     tally,
     winner_set,
     young_score,
+    young_score_with_subset,
     young_star_ranking,
     young_star_score,
 )
@@ -417,3 +420,27 @@ class TestSchemeTable:
             scheme.ranking(CYCLE, "Z", "A")
         with pytest.raises(ValueError):
             winner_set(CYCLE, name.upper())
+
+    @pytest.mark.parametrize(
+        "name, special",
+        [
+            ("dodgson", (SINGLE, "c", 0)),  # a Condorcet winner's empty program
+            ("young", (SINGLE, "e", 0)),  # an infeasible strict program
+            ("dodgson-star", (OPPOSED, "c", 0)),  # a weak Condorcet winner's empty program
+            ("young-star", (OPPOSED, "c", 2)),  # every voter kept
+        ],
+    )
+    def test_result_types(self, name, special):
+        # Exact scores are ints and starred ones Fractions, integral values included.
+        kind = F if name.endswith("-star") else int
+        with_witness = {"dodgson": dodgson_score_with_moves, "young": young_score_with_subset}.get(name)
+        profile, c, value = special
+        assert SCHEMES[name].score(profile, c) == value
+        fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.elect"))
+        profiles = [SINGLE, OPPOSED] + [parse_profile(f.read_text()) for f in fixtures if f.stem != "bad"]
+        for p in profiles + ic_grid(0):
+            for c, score in SCHEMES[name].scores(p).items():
+                assert type(score) is kind
+                if with_witness:
+                    score_too, witness = with_witness(p, c)
+                    assert (score_too, type(score_too), type(witness)) == (score, int, tuple)

@@ -346,7 +346,7 @@ class TestSolveILP:
         calls = self.counted_lp_calls(monkeypatch)
         sol = solve_ilp(lp, certificate)
         # only the root call gets the certificate
-        assert len(calls) > 1 and calls[0] == (certificate,) and set(calls[1:]) == {()}
+        assert len(calls) > 1 and calls[0] == (certificate,) and set(calls[1:]) == {(None,)}
         assert sol == solve_ilp(lp)
         assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
 
@@ -365,9 +365,9 @@ class TestSolveILP:
         # every node relaxation is the given maximisation, not a negated copy
         nodes = []
 
-        def recorded(lp):
+        def recorded(lp, certificate=None):
             nodes.append(lp.direction)
-            return solve_lp(lp)
+            return solve_lp(lp, certificate)
 
         monkeypatch.setattr(lp_module, "solve_lp", recorded)
         lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [3, 2],
