@@ -143,10 +143,11 @@ class _Simplex:
     form, which terminates on dual degenerate programs too.  Each row is a
     dict of its nonzero entries, column -> coefficient, so the ratio test
     reads only the pivot row, and a pivot touches only the rows that hold the
-    entering column.  Nonbasic columns sit at one of their bounds (`at_upper`
-    flags the upper one), `beta` holds the value of each basic column and `z`
-    the reduced cost of every column.  Program columns are boxed; a slack's
-    upper bound is None, since no row bounds its surplus.
+    entering column.  `basis` holds the basic column of each row, `x` the
+    value of every column and `z` the reduced cost of every column.  A
+    nonbasic column sits at 0 or at its upper bound, so a nonzero value marks
+    the upper one.  Program columns are boxed; a slack's upper bound is None,
+    since no row bounds its surplus.
     """
 
     def __init__(self, rows, rhs, upper, costs):
@@ -156,19 +157,9 @@ class _Simplex:
         self.upper: list[Fraction | None] = upper
         self.z: list[Fraction] = costs
         self.basis = list(range(n, len(upper)))
-        self.in_basis = [False] * n + [True] * len(rows)
-        self.at_upper = [c < 0 for c in costs]
-        self.beta = [
-            b - sum((a * upper[j] for j, a in row.items() if self.at_upper[j]), _ZERO)
-            for row, b in zip(rows, rhs)
-        ]
-
-    def column_value(self, col: int) -> Fraction:
-        if self.in_basis[col]:
-            return self.beta[self.basis.index(col)]
-        if self.at_upper[col]:
-            return self.upper[col]
-        return _ZERO
+        self.x = [u if c < 0 else _ZERO for u, c in zip(upper, costs)]
+        for col, row, b in zip(self.basis, rows, rhs):
+            self.x[col] = b - sum((a * self.x[j] for j, a in row.items() if self.x[j]), _ZERO)
 
     def _pivot(self, r: int, col: int) -> None:
         row = self.rows[r]
@@ -194,36 +185,36 @@ class _Simplex:
     def solve(self) -> bool:
         """Pivot until every basic column is within its bounds; False when a
         row shows that none of its values is reachable (infeasible)."""
+        x = self.x
         while True:
-            r = -1
+            leave = -1
             for i, col in enumerate(self.basis):
-                value, ub = self.beta[i], self.upper[col]
-                if (value < 0 or (ub is not None and value > ub)) and (r < 0 or col < self.basis[r]):
-                    r = i
-            if r < 0:
+                value, ub = x[col], self.upper[col]
+                if (value < 0 or (ub is not None and value > ub)) and (leave < 0 or col < leave):
+                    r, leave = i, col
+            if leave < 0:
                 return True
-            leave = self.basis[r]
-            to_upper = self.beta[r] > 0
+            to_upper = x[leave] > 0
             target = self.upper[leave] if to_upper else _ZERO
             # Moving an eligible column off its bound moves `leave` towards
-            # `target`; the first reduced cost to reach zero decides.
+            # `target`; the first reduced cost to reach zero decides.  Fixed
+            # columns are skipped first, so a nonzero value is the upper bound.
             enter, ratio = -1, None
             for j, a in self.rows[r].items():
-                if j == leave or self.upper[j] == 0 or ((a > 0) != to_upper) != self.at_upper[j]:
+                if j == leave or self.upper[j] == 0 or ((a > 0) != to_upper) != (x[j] != 0):
                     continue
                 t = abs(self.z[j] / a)
                 if ratio is None or t < ratio or (t == ratio and j < enter):
                     enter, ratio = j, t
             if enter < 0:
                 return False
-            step = (self.beta[r] - target) / self.rows[r][enter]
-            for i, row in enumerate(self.rows):
+            step = (x[leave] - target) / self.rows[r][enter]
+            for col, row in zip(self.basis, self.rows):
                 a = row.get(enter)
                 if a is not None:
-                    self.beta[i] -= a * step
-            self.beta[r] = (self.upper[enter] if self.at_upper[enter] else _ZERO) + step
-            self.in_basis[leave], self.at_upper[leave] = False, to_upper
-            self.in_basis[enter], self.at_upper[enter] = True, False
+                    x[col] -= a * step
+            x[leave] = target
+            x[enter] += step
             self.basis[r] = enter
             self._pivot(r, enter)
 
@@ -317,22 +308,13 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
     simplex = _Simplex(rows, rhs, upper + [None] * len(rows), costs + [_ZERO] * len(rows))
     if not simplex.solve():
         return LPSolution("infeasible")
-    assignment = {v.name: v.lower + simplex.column_value(j) for j, v in enumerate(lp.variables)}
+    assignment = {v.name: v.lower + x for v, x in zip(lp.variables, simplex.x)}
     _verify_solution(lp, assignment)
     return LPSolution("optimal", assignment, _objective_value(lp, assignment))
 
 
 def _objective_value(lp: LinearProgram, assignment: dict[str, Fraction]) -> Fraction:
     return sum((c * assignment[v.name] for c, v in zip(lp.objective, lp.variables)), _ZERO)
-
-
-def _with_bounds(lp: LinearProgram, overrides: dict[int, tuple[Fraction, Fraction]]) -> LinearProgram:
-    if not overrides:
-        return lp
-    new_vars = list(lp.variables)
-    for idx, (lo, hi) in overrides.items():
-        new_vars[idx] = Variable(new_vars[idx].name, lo, hi)
-    return lp._replace(variables=tuple(new_vars))  # the same names, so nothing to check
 
 
 def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
@@ -344,9 +326,11 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
     with no simplex, and when it is integral the search ends there.  Nodes
     below the root are solved without one.
 
-    Branches on the fractional variable whose value has the largest
-    denominator (ties to the smallest index), explores the nearer integer
-    side first, and prunes against the best incumbent.  Bounds and
+    A node is ``lp`` with tightened bounds, and the stack holds the node
+    programs themselves: each child is its parent with one `Variable`
+    replaced.  Branches on the fractional variable whose value has the
+    largest denominator (ties to the smallest index), explores the nearer
+    integer side first, and prunes against the best incumbent.  Bounds and
     incumbents are compared as ``sense * value`` (``sense`` is -1 for
     ``max``), so smaller is better in both directions.  When every objective
     coefficient is an integer, relaxation bounds are rounded before pruning.
@@ -355,10 +339,9 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
     can_round = all(c.denominator == 1 for c in lp.objective)
 
     best: LPSolution | None = None
-    stack: list[dict[int, tuple[Fraction, Fraction]]] = [{}]
+    stack = [lp]
     while stack:
-        overrides = stack.pop()
-        node = _with_bounds(lp, overrides)
+        node = stack.pop()
         sol = solve_lp(node, certificate)
         certificate = None  # nodes below the root get none
         if sol.status == "infeasible":
@@ -369,20 +352,19 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
                 continue
         fractional = [
             (i, value)
-            for i, var in enumerate(lp.variables)
+            for i, var in enumerate(node.variables)
             if (value := sol.assignment[var.name]).denominator != 1
         ]
         if not fractional:
             best = sol
             continue
         idx, val = max(fractional, key=lambda item: (item[1].denominator, -item[0]))
-        var = lp.variables[idx]
-        lo, hi = overrides.get(idx, (var.lower, var.upper))
+        name, lo, hi = node.variables[idx]
         floor_val = Fraction(math.floor(val))
-        down = dict(overrides)
-        down[idx] = (lo, floor_val)
-        up = dict(overrides)
-        up[idx] = (floor_val + 1, hi)
+        head, tail = node.variables[:idx], node.variables[idx + 1:]
+        # the same names, so nothing to check
+        down = node._replace(variables=head + (Variable(name, lo, floor_val),) + tail)
+        up = node._replace(variables=head + (Variable(name, floor_val + 1, hi),) + tail)
         if val - floor_val <= Fraction(1, 2):
             stack.append(up)
             stack.append(down)  # nearer side explored first (LIFO)

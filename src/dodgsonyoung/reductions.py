@@ -63,47 +63,45 @@ def _in_base_order(elements, index: dict[str, int]) -> tuple[str, ...]:
 
 
 class Graph(namedtuple("Graph", "vertices edges")):
-    """Simple undirected graph; vertex and edge order follow the input."""
+    """Simple undirected graph; vertex and edge order follow the input, and
+    each edge's endpoints are put in vertex order."""
 
     __slots__ = ()
 
     def __new__(cls, vertices, edges):
         index = _index(vertices, "vertex")
         seen: set[frozenset[str]] = set()
+        normalized = []
         for u, v in edges:
             _check_edge(u, v, index, seen)
-        return super().__new__(cls, vertices, edges)
+            normalized.append((u, v) if index[u] < index[v] else (v, u))
+        return super().__new__(cls, vertices, tuple(normalized))
 
 
 def graph(vertices, edges) -> Graph:
-    """Build a Graph, normalizing each edge's endpoints to vertex order."""
-    verts = tuple(vertices)
-    index = _index(verts, "vertex")
-    normalized = []
-    for u, v in edges:
-        if u in index and v in index and index[u] > index[v]:
-            u, v = v, u
-        normalized.append((u, v))
-    return Graph(verts, tuple(normalized))
+    """Build a Graph from any iterable of vertices and of edges."""
+    return Graph(tuple(vertices), edges)
 
 
 class SetFamilyInstance(namedtuple("SetFamilyInstance", "base family")):
-    """Ordered ground set plus a family of nonempty member sets."""
+    """Ordered ground set plus a family of nonempty member sets, each member
+    set sorted by ground-set order."""
 
     __slots__ = ()
 
     def __new__(cls, base, family):
         index = _index(base, "ground-set element")
+        members = []
         for member in family:
+            member = _in_base_order(member, index)
             _check_member(member, index)
-        return super().__new__(cls, base, family)
+            members.append(member)
+        return super().__new__(cls, base, tuple(members))
 
 
 def set_family(base, family) -> SetFamilyInstance:
-    """Build a SetFamilyInstance, sorting each member set by ground-set order."""
-    base_t = tuple(base)
-    index = _index(base_t, "ground-set element")
-    return SetFamilyInstance(base_t, tuple(_in_base_order(member, index) for member in family))
+    """Build a SetFamilyInstance from any iterable of elements and of member sets."""
+    return SetFamilyInstance(tuple(base), family)
 
 
 class MSPCInstance(namedtuple("MSPCInstance", "first second")):

@@ -249,6 +249,11 @@ class TestCertificate:
         with pytest.raises(RuntimeError, match="internal: "):
             solve_lp(MAX_LP, ([4, 0], [2, 0, 0]))
 
+    @pytest.mark.parametrize("point", [[3], [3, 1, 0]], ids=["short", "long"])
+    def test_point_of_the_wrong_length_raises(self, point):
+        with pytest.raises(ValueError, match="one value per variable expected"):
+            solve_lp(MAX_LP, (point, [2, 0, 0]))
+
 
 class TestSolveILP:
     def test_round_down_relaxation(self):

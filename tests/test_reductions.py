@@ -25,10 +25,11 @@ from dodgsonyoung import (
     young_score_bruteforce,
     young_score_with_subset,
 )
-from dodgsonyoung import reductions
+from dodgsonyoung import lp as lp_module, reductions
 from dodgsonyoung.exact import young_rows
 from dodgsonyoung.cli import run
 from dodgsonyoung.reductions import (
+    Graph,
     SetFamilyInstance,
     serialize_mspc,
     serialize_set_family,
@@ -332,11 +333,26 @@ class TestVerifyChain:
         scores = young_scores_bruteforce_all(amp)
         assert scores["c"] >= max(scores.values())
 
-    def test_sixteen_vertex_pair_merged_program_sizes_and_scores(self):
+    def test_sixteen_vertex_pair_merged_program_sizes_and_scores(self, monkeypatch):
         # The seed-0 pair of G(16, 1/2) graphs: 66 voters in 36 distinct orders
         # and 118 candidates.  Merging orders by the rivals c (or d) beats and
         # collapsing identical rival rows leaves 19 columns and 47/71 rows
-        # (36 columns and 117 rows per order and rival).
+        # (36 columns and 117 rows per order and rival).  Its Young programs
+        # are the deepest branch-and-bound trees tier-1 solves, so their node
+        # (`solve_lp` call) and `_Simplex._pivot` counts are pinned too.
+        nodes, pivots = [], []
+        solve_lp, pivot = lp_module.solve_lp, lp_module._Simplex._pivot
+
+        def counted_solve_lp(*args):
+            nodes.append(None)
+            return solve_lp(*args)
+
+        def counted_pivot(self, *args):
+            pivots.append(None)
+            return pivot(self, *args)
+
+        monkeypatch.setattr(lp_module, "solve_lp", counted_solve_lp)
+        monkeypatch.setattr(lp_module._Simplex, "_pivot", counted_pivot)
         rng = random.Random(0)
         names = [f"v{i}" for i in range(16)]
 
@@ -349,11 +365,16 @@ class TestVerifyChain:
         assert (p.num_voters, len(p.voters), len(p.candidates)) == (66, 36, 118)
         sizes = [(len(v), len(rows)) for v, _, rows in (young_rows(p, x, weak=False) for x in (red.c, red.d))]
         assert sizes == [(19, 47), (19, 71)]
+        searches = []
         for x, k in ((red.c, red.kappa1), (red.d, red.kappa2)):
+            nodes.clear()
+            pivots.clear()
             score, kept = young_score_with_subset(p, x)
+            searches.append((len(nodes), len(pivots)))
             assert score == 2 * k + 1
             assert validate_young_witness(p, x, score, kept)
         assert (red.kappa1, red.kappa2) == (5, 4)
+        assert searches == [(23, 1010), (31, 1031)]
 
     def test_guard_propagates(self):
         with pytest.raises(ValueError, match="exceed 2"):
@@ -379,11 +400,31 @@ class TestGraphParsing:
             ("edge: a b", "vertices"),
             ("vertices: a b\nedge: a", "two endpoints"),
             ("vertices: a b\nedge: x x", "line 2: edge ('x', 'x') uses an unknown vertex"),
+            ("# no names\nvertices:\nedge: a b", "line 2: empty vertex list"),
+            ("vertices: a b\nvertices: a b", "line 2: expected 'edge:' line, got 'vertices'"),
         ],
     )
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError, match=re.escape(fragment)):
             parse_graph(text)
+
+
+class TestConstructionRoutes:
+    """The record constructors normalize like the builders and the parsers."""
+
+    def test_graph_endpoints_put_in_vertex_order(self):
+        edges = (("b", "a"), ("c", "b"), ("a", "d"))
+        g = Graph(("a", "b", "c", "d"), edges)
+        assert g == graph(["a", "b", "c", "d"], [list(e) for e in edges])
+        assert g == parse_graph("vertices: a b c d\nedge: b a\nedge: c b\nedge: a d\n")
+        assert g.edges == (("a", "b"), ("b", "c"), ("a", "d"))
+        assert inc_to_mspc(g, g).first.base == ("a-b", "b-c", "a-d")
+
+    def test_member_sets_put_in_base_order(self):
+        fam = SetFamilyInstance(("x1", "x2", "x3"), (("x3", "x1"), ("x2",)))
+        assert fam == set_family(["x1", "x2", "x3"], [["x3", "x1"], ["x2"]])
+        assert fam == parse_set_family("base: x1 x2 x3\nset: x3 x1\nset: x2\n")
+        assert serialize_set_family(fam) == "base: x1 x2 x3\nset: x1 x3\nset: x2\n"
 
 
 class TestSetFamilyParsing:
