@@ -194,6 +194,18 @@ def young_rows(profile: Profile, c: CandidateId, *, weak: bool):
     return _young_program(profile, c, weak)[0]
 
 
+def _scaled(values: list[Fraction], scale: int):
+    """``scale * v`` as an int for each v, or None unless every one is whole."""
+    if any(scale % v.denominator for v in values):
+        return None
+    return [v.numerator * scale // v.denominator for v in values]
+
+
+def _halved(x: int):
+    """x / 2: an int when x is even, a Fraction of denominator 2 otherwise."""
+    return Fraction(x, 2) if x & 1 else x >> 1
+
+
 def dodgson_certificate(program: LinearProgram):
     """A ``(point, duals)`` certificate for a lift program built from
     :func:`dodgson_rows`, at either threshold, or None when the greedy below
@@ -210,30 +222,39 @@ def dodgson_certificate(program: LinearProgram):
     left and the smallest shortfall it passes, until no lift qualifies.  A
     batch ends a group or a shortfall, so the steps do not depend on the
     voter counts.
+
+    It counts half voters in ints, as the weak threshold n/2 may need one; a
+    point entry is an int, or a Fraction for an odd half.  A program whose
+    bounds or right-hand sides are not multiples of 1/2 gets None.
     """
     cons = program.constraints
+    caps = _scaled([var.upper for var in program.variables], 2)
+    rhs = _scaled([con.rhs for con in cons], 2)
+    if caps is None or rhs is None:
+        return None
     short = {}
-    covers = [[] for _ in program.variables]
+    covers = [[] for _ in caps]
     # A column's group is its capacity row, or the column alone.
-    group = [-1 - j for j in range(len(program.variables))]
-    left = {-1 - j: var.upper for j, var in enumerate(program.variables)}
-    for r, con in enumerate(cons):
+    group = [-1 - j for j in range(len(caps))]
+    left = {-1 - j: cap for j, cap in enumerate(caps)}
+    for r, (con, b) in enumerate(zip(cons, rhs)):
         if con.relation == ">=":
-            short[r] = con.rhs
+            short[r] = b
             for j, _ in con.coeffs:
                 covers[j].append(r)
         else:
             for j, _ in con.coeffs:
                 group[j] = r
-            left[r] = con.rhs
-    # Lifts whose cost the duals meet: every rival they pass has a row.
+            left[r] = b
+    # Lifts whose cost the duals meet: every rival they pass has a row.  A
+    # fair lift's cost is the number of its rows.
     fair = [j for j, cost in enumerate(program.objective) if cost == len(covers[j])]
-    point = [0] * len(program.variables)
+    point = [0] * len(caps)
     while True:
         ok = [j for j in fair if left[group[j]] and all(short[r] for r in covers[j])]
         if not ok:
             break
-        j = max(ok, key=lambda j: program.objective[j])
+        j = max(ok, key=lambda j: len(covers[j]))
         step = min([left[group[j]]] + [short[r] for r in covers[j]])
         point[j] += step
         left[group[j]] -= step
@@ -241,7 +262,7 @@ def dodgson_certificate(program: LinearProgram):
             short[r] -= step
     if any(short.values()):
         return None
-    return point, [int(con.relation == ">=") for con in cons]
+    return [_halved(x) for x in point], [int(con.relation == ">=") for con in cons]
 
 
 def young_certificate(program: LinearProgram):
@@ -262,17 +283,23 @@ def young_certificate(program: LinearProgram):
     the fewest rows, in a batch that ends the group, the removals, or the
     slack of a row it supports.  So the steps do not depend on the voter
     counts, and at the end every row holds.
+
+    It counts half voters in ints, as a batch that ends an odd slack removes
+    one; a point entry is an int, or a Fraction for an odd half.  A program
+    whose bounds or right-hand sides are not whole gets None.
     """
     cons = program.constraints
-    kept = [var.upper for var in program.variables]
+    upper = _scaled([var.upper for var in program.variables], 1)
+    rhs = _scaled([con.rhs for con in cons], 1)
+    if upper is None or rhs is None:
+        return None
+    kept = [2 * u for u in upper]
     supports = [[False] * len(cons) for _ in kept]
     for r, con in enumerate(cons):
         for h, a in con.coeffs:
-            supports[h][r] = a > 0
+            supports[h][r] = a.numerator > 0  # the sign, with no Fraction comparison
     n = sum(kept)
-    bounds = [
-        2 * sum(u for u, up in zip(kept, supports) if up[r]) - con.rhs for r, con in enumerate(cons)
-    ]
+    bounds = [2 * sum(u for u, up in zip(kept, supports) if up[r]) - 2 * b for r, b in enumerate(rhs)]
     target = min([n] + bounds)
     if target < 0:
         return None
@@ -292,11 +319,12 @@ def young_certificate(program: LinearProgram):
                 best, rank = h, key
         if best < 0:
             return None
-        step = min([kept[best], left] + [s / 2 for up, s in zip(supports[best], slack) if up])
+        # Every slack stays even, so half of it is a whole number of half voters.
+        step = min([kept[best], left] + [s >> 1 for up, s in zip(supports[best], slack) if up])
         kept[best] -= step
         left -= step
         slack = [s - 2 * step if up else s for up, s in zip(supports[best], slack)]
-    return kept, duals
+    return [_halved(x) for x in kept], duals
 
 
 def solve_program(lp: LinearProgram, solve, certificate=None, groups=None):

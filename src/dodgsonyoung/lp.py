@@ -326,6 +326,11 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
     with no simplex, and when it is integral the search ends there.  Nodes
     below the root are solved without one.
 
+    A row of integer coefficients has an integral left-hand side, so its
+    right-hand side is rounded first (up for ``>=``, down for ``<=``), which
+    cuts off the half votes of a weak threshold before any branching.  A
+    certificate is made for the program as given, so a rounding drops it.
+
     A node is ``lp`` with tightened bounds, and the stack holds the node
     programs themselves: each child is its parent with one `Variable`
     replaced.  Branches on the fractional variable whose value has the
@@ -335,6 +340,14 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
     ``max``), so smaller is better in both directions.  When every objective
     coefficient is an integer, relaxation bounds are rounded before pruning.
     """
+    rows = tuple(
+        con._replace(rhs=Fraction(math.ceil(con.rhs) if con.relation == ">=" else math.floor(con.rhs)))
+        if con.rhs.denominator != 1 and all(a.denominator == 1 for _, a in con.coeffs)
+        else con
+        for con in lp.constraints
+    )
+    if rows != lp.constraints:
+        lp, certificate = lp._replace(constraints=rows), None
     sense = 1 if lp.direction == "min" else -1
     can_round = all(c.denominator == 1 for c in lp.objective)
 

@@ -420,8 +420,8 @@ class TestDodgsonPresolve:
     def test_same_optima_as_the_unpresolved_programs(self):
         def rounded(rows):
             # Every row and column is integral, so rounding each right-hand
-            # side up keeps the ILP optimum, and spares branch and bound the
-            # half votes of the weak threshold.
+            # side up keeps the ILP optimum: the reference for the rounding
+            # that `solve_ilp` does itself.
             variables, objective, constraints = rows
             ceiled = [(a, rel, math.ceil(b)) for a, rel, b in constraints]
             return linear_program("min", variables, objective, ceiled)
@@ -435,7 +435,9 @@ class TestDodgsonPresolve:
                     rows, ref = dodgson_rows(p, c, weak=weak), per_order_dodgson_rows(p, c, weak=weak)
                     lp, ref_lp = linear_program("min", *rows), linear_program("min", *ref)
                     assert solve_lp(lp).objective_value == solve_lp(ref_lp).objective_value
-                    assert solve_ilp(rounded(rows)).objective_value == solve_ilp(rounded(ref)).objective_value
+                    optimum = solve_ilp(rounded(ref)).objective_value
+                    assert solve_ilp(rounded(rows)).objective_value == optimum
+                    assert solve_ilp(lp).objective_value == optimum
 
     def test_every_column_ends_just_above_a_short_rival(self):
         columns = dropped = 0

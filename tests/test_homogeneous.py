@@ -202,18 +202,22 @@ class TestCertificates:
                 assert all(x == int(x) for x in point)
                 assert sum(j * x for j, x in zip(program.objective, point)) == dodgson_score(p, c)
 
-    def test_certified_values_equal_the_simplex_and_hit_counts(self):
-        # The ic-distinct cells of seeds 0-2 and q-fold copies of six
-        # 5-order bases: every certified value is the certificate-free
-        # optimum, and the scores read it.
+    @staticmethod
+    def grid():
+        # The ic-distinct cells of seeds 0-2 and q-fold copies of six 5-order bases.
         profiles = [p for seed in range(3) for p in ic_grid(seed)]
         rng = random.Random(15)
         for _ in range(6):
             base = Profile(tuple("abcd"), tuple((o, 1) for o in rng.sample(list(permutations("abcd")), 5)))
             profiles += [replicate(base, q) for q in (1, 2, 16)]
+        return profiles
+
+    def test_certified_values_equal_the_simplex_and_hit_counts(self):
+        # Every certified value is the certificate-free optimum, and the
+        # scores read it.
         certified = {name: 0 for name, _, _ in STARRED}
         pairs = 0
-        for p in profiles:
+        for p in self.grid():
             for c in p.candidates:
                 pairs += 1
                 for name, build, certify in STARRED:
@@ -226,6 +230,37 @@ class TestCertificates:
                     assert SCHEMES[name].score(p, c) == want
         assert pairs == 162
         assert certified == {"dodgson-star": 159, "young-star": 155}
+
+    def test_points_are_whole_or_half_voters(self):
+        # The greedies count half voters in ints: every entry of a point, at
+        # either threshold, is an int, or a Fraction of denominator 2.
+        halves = 0
+        for p in self.grid():
+            for c in p.candidates:
+                for weak in (False, True):
+                    for direction, rows, certify in (("min", dodgson_rows, dodgson_certificate),
+                                                     ("max", young_rows, young_certificate)):
+                        certificate = certify(linear_program(direction, *rows(p, c, weak=weak)))
+                        if certificate is None:
+                            continue
+                        for x in certificate[0]:
+                            assert type(x) is int or (type(x) is F and x.denominator == 2), x
+                            halves += type(x) is F
+        assert halves > 0
+
+    def test_data_off_their_grid_is_a_miss(self):
+        # The builders make no such program: the lift greedy takes half
+        # votes and no finer, the keep greedy whole votes only.
+        def lift(rhs):
+            return linear_program("min", [("m", 0, 3)], [1], [({0: 1}, ">=", rhs)])
+
+        def keep(rhs):
+            return linear_program("max", [("y", 0, 3)], [1], [({0: 1}, ">=", rhs)])
+
+        assert dodgson_certificate(lift(F(3, 2))) == ([F(3, 2)], [1])
+        assert dodgson_certificate(lift(F(1, 3))) is None
+        assert young_certificate(keep(1)) == ([3], [0])
+        assert young_certificate(keep(F(1, 2))) is None
 
 
 class TestStarDeciders:

@@ -366,6 +366,34 @@ class TestSolveILP:
     def test_wrong_certificate_gives_the_same_answer(self, certificate):
         assert solve_ilp(self.FRACTIONAL_ROOT, certificate) == solve_ilp(self.FRACTIONAL_ROOT)
 
+    # A weak lift program (9 voters, 5 orders) whose rival rows need 3/2 and
+    # 9/2 lifts: integer rows over integer columns, so each right-hand side
+    # rounds up, and the rounded root is integral.  Unrounded, branch and
+    # bound took 4,545 relaxations.
+    HALF_VOTES = parse_profile(
+        "candidates: a b c d e f\nvoter: e>b>d>c>f>a\nvoter 2: d>b>c>f>e>a\n"
+        "voter: e>f>b>d>c>a\nvoter 2: c>f>e>d>b>a\nvoter 3: e>c>f>a>b>d\n"
+    )
+
+    def test_half_vote_rows_are_rounded_before_branching(self, monkeypatch):
+        lp = linear_program("min", *dodgson_rows(self.HALF_VOTES, "a", weak=True))
+        assert (len(lp.variables), len(lp.constraints)) == (23, 10)
+        assert {con.rhs for con in lp.constraints} >= {F(3, 2), F(9, 2)}
+        # The greedy's point fills a row of 3/2 exactly, so the rounded rows
+        # refuse it: a rounded program drops the root certificate.
+        certificate = dodgson_certificate(lp)
+        assert any(getattr(x, "denominator", 1) == 2 for x in certificate[0])
+        calls = self.counted_lp_calls(monkeypatch)
+        sol = solve_ilp(lp, certificate)
+        assert (sol.status, sol.objective_value) == ("optimal", 19)
+        assert calls == [(None,)]
+        check_feasible(lp, sol.assignment)
+
+    def test_rounding_keeps_fractional_rows(self):
+        # Rows with a fractional coefficient keep their right-hand side.
+        lp = linear_program("max", [("x", 0, 10)], [1], [({0: F(1, 2)}, "<=", F(3, 2))])
+        assert solve_ilp(lp)["x"] == 3
+
     def test_branch_and_bound_keeps_the_sense(self, monkeypatch):
         # every node relaxation is the given maximisation, not a negated copy
         nodes = []
