@@ -1,16 +1,23 @@
 """Exact linear and integer programming over rationals.
 
-One bounded dual simplex with Bland's rule in dual form on boxed programs,
-``lower <= x <= upper`` with both bounds finite and every row ``<=`` or
-``>=``, plus a depth-first branch-and-bound wrapper for pure integer
-programs, in which every variable is integral.  Every score program is
-boxed, since each of its variables counts voters, and a boxed program is
-either infeasible or has an optimum.  Column j of the simplex is variable j
-minus its lower bound, so it ranges over ``[0, upper - lower]``.  Every row
-starts basic in its own slack and every column at the bound its cost
-prefers, which is dual feasible, so there is one phase and no artificial
-column.  Every coefficient is a Fraction, so feasibility and optimality
-hold exactly; there is no tolerance anywhere.  The program types are named
+One bounded dual simplex on boxed programs, ``lower <= x <= upper`` with
+both bounds finite and every row ``<=`` or ``>=``, plus a depth-first
+branch-and-bound wrapper for pure integer programs, in which every
+variable is integral.  Every score program is boxed, since each of its
+variables counts voters, and a boxed program is either infeasible or has an
+optimum.  Column j of the simplex is variable j minus its lower bound, so
+it ranges over ``[0, upper - lower]``.  Every row starts basic in its own
+slack and every column at the bound its cost prefers, which is dual
+feasible, so there is one phase and no artificial column.  Each step
+leaves on the row furthest outside its bounds, and its ratio test flips a
+boxed column to its other bound instead of entering it while the row stays
+short (the bound-flipping or long-step test); the step after a degenerate
+one falls back to Bland's rule in dual form, which keeps the search finite
+(see `_Simplex`).  Branch and bound starts each child from its parent's
+final simplex with one column's bounds moved.  Every coefficient is a
+Fraction, so feasibility and optimality hold exactly; there is no tolerance
+anywhere.  Every optimum is checked by substitution and proved by the final
+basis's multipliers through `dual_bound`.  The program types are named
 tuples that turn ints into Fractions and reject floats in their
 ``__new__``.  Programs are sparse from end to end: a
 `Constraint` is built from a ``{column: coefficient}`` mapping and holds the
@@ -136,18 +143,34 @@ class _Simplex:
     Column n + r is row r's slack, with a single entry 1 in that row; it
     starts basic, and every other column starts at the bound its cost
     prefers (upper for a negative cost, lower otherwise), so every reduced
-    cost has the right sign from the start.  Each step takes the basic column
-    of smallest index that lies outside its bounds, moves it to the bound it
-    violates, and enters the nonbasic column of the pivot row whose reduced
-    cost reaches zero first, ties to the smallest index: Bland's rule in dual
-    form, which terminates on dual degenerate programs too.  Each row is a
-    dict of its nonzero entries, column -> coefficient, so the ratio test
-    reads only the pivot row, and a pivot touches only the rows that hold the
-    entering column.  `basis` holds the basic column of each row, `x` the
-    value of every column and `z` the reduced cost of every column.  A
-    nonbasic column sits at 0 or at its upper bound, so a nonzero value marks
-    the upper one.  Program columns are boxed; a slack's upper bound is None,
+    cost has the right sign from the start.  Each row is a dict of its
+    nonzero entries, column -> coefficient, so the ratio test reads only the
+    pivot row, and a pivot touches only the rows that hold the entering
+    column.  `basis` holds the basic column of each row, `x` the value of
+    every column and `z` the reduced cost of every column.  A nonbasic
+    column sits at 0 or at its upper bound, so a nonzero value marks the
+    upper one.  Program columns are boxed; a slack's upper bound is None,
     since no row bounds its surplus.
+
+    Each step takes the basic column that lies furthest outside its bounds
+    (ties to the smallest index) and moves it to the bound it violates.  The
+    ratio test walks the nonbasic columns of its row in the order their
+    reduced costs reach zero, ties to the smallest index, and passes a boxed
+    column whose flip to its other bound still leaves the row short of that
+    bound: the flip moves the basic values, and the next column enters.  A
+    row that passes every column proves the program infeasible.  The step
+    right after a degenerate one (entering ratio 0) is a Bland step: the
+    basic column of smallest index outside its bounds leaves, and the first
+    column to reach zero enters, with no flip.  That keeps the search
+    finite.  The dual objective never falls, and rises on every step of
+    nonzero ratio, so a cycle is made of degenerate steps alone; every step
+    of it would follow a degenerate one and so be a Bland step, and Bland's
+    rule in dual form cannot cycle.
+
+    Branch and bound starts a child from a `copy` of its parent's final
+    state, with one column's bounds moved by `bound`: the reduced costs are
+    untouched, so the start stays dual feasible and the same loop repairs
+    the basic values.
     """
 
     def __init__(self, rows, rhs, upper, costs):
@@ -160,6 +183,37 @@ class _Simplex:
         self.x = [u if c < 0 else _ZERO for u, c in zip(upper, costs)]
         for col, row, b in zip(self.basis, rows, rhs):
             self.x[col] = b - sum((a * self.x[j] for j, a in row.items() if self.x[j]), _ZERO)
+
+    def copy(self) -> _Simplex:
+        other = object.__new__(_Simplex)
+        other.rows = [dict(row) for row in self.rows]
+        other.upper, other.z, other.basis, other.x = self.upper[:], self.z[:], self.basis[:], self.x[:]
+        return other
+
+    def bound(self, j: int, lower: Fraction, upper: Fraction) -> bool:
+        """Narrow column j to [lower, upper] in its current units, and make
+        lower its new 0; False when the bounds cross.  A nonbasic column that
+        falls outside moves to the bound it sat at."""
+        if upper < lower:
+            return False
+        x = self.x
+        x[j] -= lower
+        self.upper[j] = upper = upper - lower
+        if j not in self.basis and not 0 <= x[j] <= upper:
+            self._move(((j, (_ZERO if x[j] < 0 else upper) - x[j]),))
+        return True
+
+    def _move(self, moves) -> None:
+        """Move each nonbasic column j by d, for (j, d) in moves, and the
+        basic values with them."""
+        x = self.x
+        for j, d in moves:
+            x[j] += d
+        for col, row in zip(self.basis, self.rows):
+            for j, d in moves:
+                a = row.get(j)
+                if a is not None:
+                    x[col] -= a * d
 
     def _pivot(self, r: int, col: int) -> None:
         row = self.rows[r]
@@ -182,41 +236,73 @@ class _Simplex:
             for j, b in row.items():
                 self.z[j] -= f * b
 
+    def _leaving_row(self, bland: bool) -> int:
+        """The row whose basic column leaves, or -1 when every basic column
+        is within its bounds: the furthest outside, or with ``bland`` the
+        smallest column outside, ties to the smallest column."""
+        x, upper = self.x, self.upper
+        r, leave, worst = -1, -1, _ZERO
+        for i, col in enumerate(self.basis):
+            value, ub = x[col], upper[col]
+            if value < 0:
+                gap = -value
+            elif ub is not None and value > ub:
+                gap = value - ub
+            else:
+                continue
+            if leave < 0 or (col < leave if bland or gap == worst else gap > worst):
+                r, leave, worst = i, col, gap
+        return r
+
     def solve(self) -> bool:
         """Pivot until every basic column is within its bounds; False when a
         row shows that none of its values is reachable (infeasible)."""
-        x = self.x
+        x, upper, z = self.x, self.upper, self.z
+        bland = False
         while True:
-            leave = -1
-            for i, col in enumerate(self.basis):
-                value, ub = x[col], self.upper[col]
-                if (value < 0 or (ub is not None and value > ub)) and (leave < 0 or col < leave):
-                    r, leave = i, col
-            if leave < 0:
+            r = self._leaving_row(bland)
+            if r < 0:
                 return True
+            leave, row = self.basis[r], self.rows[r]
             to_upper = x[leave] > 0
-            target = self.upper[leave] if to_upper else _ZERO
+            target = upper[leave] if to_upper else _ZERO
             # Moving an eligible column off its bound moves `leave` towards
             # `target`; the first reduced cost to reach zero decides.  Fixed
             # columns are skipped first, so a nonzero value is the upper bound.
-            enter, ratio = -1, None
-            for j, a in self.rows[r].items():
-                if j == leave or self.upper[j] == 0 or ((a > 0) != to_upper) != (x[j] != 0):
+            enter, ratio, breakpoints = -1, None, []
+            for j, a in row.items():
+                if j == leave or upper[j] == 0 or ((a > 0) != to_upper) != (x[j] != 0):
                     continue
-                t = abs(self.z[j] / a)
+                t = abs(z[j] / a)
+                breakpoints.append((t, j, a))
                 if ratio is None or t < ratio or (t == ratio and j < enter):
                     enter, ratio = j, t
             if enter < 0:
                 return False
-            step = (x[leave] - target) / self.rows[r][enter]
-            for col, row in zip(self.basis, self.rows):
-                a = row.get(enter)
+            step = (x[leave] - target) / row[enter]
+            if not bland and upper[enter] is not None and abs(step) > upper[enter]:
+                # Entering would carry the column past its other bound: pass
+                # breakpoints while a flip leaves the row short.
+                short, flips = abs(x[leave] - target), []
+                for ratio, enter, a in sorted(breakpoints):
+                    u = upper[enter]
+                    if u is None or abs(a) * u >= short:
+                        break
+                    short -= abs(a) * u
+                    flips.append((enter, -u if x[enter] else u))
+                else:
+                    return False
+                self._move(flips)
+                step = (x[leave] - target) / row[enter]
+            for col, other in zip(self.basis, self.rows):
+                a = other.get(enter)
                 if a is not None:
                     x[col] -= a * step
             x[leave] = target
             x[enter] += step
             self.basis[r] = enter
             self._pivot(r, enter)
+            bland = ratio == 0
 
 
 def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
@@ -258,42 +344,23 @@ def dual_bound(lp: LinearProgram, duals) -> Fraction | None:
         for j, a in con.coeffs:
             reduced[j] -= a if y == 1 else y * a
     for var, r in zip(lp.variables, reduced):
-        if r > 0:
-            total += r * var.lower
-        elif r < 0:
-            total += r * var.upper
+        if r and (bound := var.lower if r > 0 else var.upper):
+            total += r * bound
     return sense * total
 
 
-def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
-    """Solve exactly; an optimal solution is re-verified by substitution.
+def _start(lp: LinearProgram) -> _Simplex | None:
+    """The slack-basis simplex of lp, or None when a column's bounds cross.
 
-    ``certificate`` is an optional ``(point, duals)`` pair: a value per
-    variable and a multiplier per constraint.  An infeasible point is a
-    caller's bug and raises.  A feasible point whose value equals
-    ``dual_bound(lp, duals)`` is optimal and is returned at once; any other
-    certificate is ignored.
-
-    Column j is variable j minus its lower bound, of width upper - lower; a
-    negative width (crossed bounds) makes the program infeasible.
+    Column j is variable j minus its lower bound, of width upper - lower.
+    Row r gets slack column n + r with coefficient +1; a '>=' row is
+    negated first.
     """
-    if certificate is not None:
-        point, duals = certificate
-        if len(point) != len(lp.variables):
-            raise ValueError("one value per variable expected")
-        assignment = {v.name: frac(x) for v, x in zip(lp.variables, point)}
-        _verify_solution(lp, assignment)
-        value = _objective_value(lp, assignment)
-        if value == dual_bound(lp, duals):
-            return LPSolution("optimal", assignment, value)
     lower = [v.lower for v in lp.variables]
-    upper = [v.upper - v.lower for v in lp.variables]
+    upper = [v.upper - v.lower if v.lower else v.upper for v in lp.variables]
     if any(u < 0 for u in upper):
-        return LPSolution("infeasible")
-    sense = 1 if lp.direction == "min" else -1
-    costs = [sense * c for c in lp.objective]
-    # Row r gets slack column n + r with coefficient +1; a '>=' row is
-    # negated first.
+        return None
+    costs = list(lp.objective) if lp.direction == "min" else [-c for c in lp.objective]
     n = len(upper)
     rows, rhs = [], []
     for r, con in enumerate(lp.constraints):
@@ -304,17 +371,51 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
         row[n + r] = _ONE
         rows.append(row)
         rhs.append(b)
+    return _Simplex(rows, rhs, upper + [None] * len(rows), costs + [_ZERO] * len(rows))
 
-    simplex = _Simplex(rows, rhs, upper + [None] * len(rows), costs + [_ZERO] * len(rows))
-    if not simplex.solve():
+
+def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
+    """Solve exactly; an optimum is re-verified by substitution and proved by
+    the final basis's duals.
+
+    ``certificate`` is an optional ``(point, duals)`` pair: a value per
+    variable and a multiplier per constraint.  An infeasible point is a
+    caller's bug and raises.  A feasible point whose value equals
+    ``dual_bound(lp, duals)`` is optimal and is returned at once; any other
+    certificate is ignored.  `solve_ilp` passes a `_Simplex` instead: a
+    dual feasible start for lp, which is solved from there and left in its
+    final state.
+
+    Crossed bounds make the program infeasible.  The reduced costs of the
+    slacks are the final basis's multipliers, one per constraint; an
+    optimum whose value they do not prove raises, as a point that breaks a
+    row does.
+    """
+    if type(certificate) is _Simplex:
+        simplex = certificate
+    else:
+        if certificate is not None:
+            point, duals = certificate
+            if len(point) != len(lp.variables):
+                raise ValueError("one value per variable expected")
+            assignment = {v.name: frac(x) for v, x in zip(lp.variables, point)}
+            _verify_solution(lp, assignment)
+            value = _objective_value(lp, assignment)
+            if value == dual_bound(lp, duals):
+                return LPSolution("optimal", assignment, value)
+        simplex = _start(lp)
+    if simplex is None or not simplex.solve():
         return LPSolution("infeasible")
-    assignment = {v.name: v.lower + x for v, x in zip(lp.variables, simplex.x)}
+    assignment = {v.name: v.lower + x if v.lower else x for v, x in zip(lp.variables, simplex.x)}
     _verify_solution(lp, assignment)
-    return LPSolution("optimal", assignment, _objective_value(lp, assignment))
+    value = _objective_value(lp, assignment)
+    if dual_bound(lp, simplex.z[len(lp.variables):]) != value:
+        raise RuntimeError("internal: the final basis's duals do not prove the optimum")
+    return LPSolution("optimal", assignment, value)
 
 
 def _objective_value(lp: LinearProgram, assignment: dict[str, Fraction]) -> Fraction:
-    return sum((c * assignment[v.name] for c, v in zip(lp.objective, lp.variables)), _ZERO)
+    return sum((c * x for c, v in zip(lp.objective, lp.variables) if (x := assignment[v.name])), _ZERO)
 
 
 def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
@@ -323,19 +424,22 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
 
     ``certificate`` is an optional ``(point, duals)`` pair for the root
     relaxation alone, passed to `solve_lp`: a certified root is an LP optimum
-    with no simplex, and when it is integral the search ends there.  Nodes
-    below the root are solved without one.
+    with no simplex, and when it is integral the search ends there.
 
     A row of integer coefficients has an integral left-hand side, so its
     right-hand side is rounded first (up for ``>=``, down for ``<=``), which
     cuts off the half votes of a weak threshold before any branching.  A
     certificate is made for the program as given, so a rounding drops it.
 
-    A node is ``lp`` with tightened bounds, and the stack holds the node
-    programs themselves: each child is its parent with one `Variable`
-    replaced.  Branches on the fractional variable whose value has the
-    largest denominator (ties to the smallest index), explores the nearer
-    integer side first, and prunes against the best incumbent.  Bounds and
+    A node is ``lp`` with tightened bounds, and the stack holds each node
+    program, a child being its parent with one `Variable` replaced, with the
+    `_Simplex` its `solve_lp` call starts from.  A child starts from its
+    parent's final simplex with the branched column's bounds moved, so that
+    only the basic values need repair; a child of a root that had a
+    certificate, which built no simplex for it, starts from the slack basis.
+    Branches on the fractional variable whose value has the largest
+    denominator (ties to the smallest index), explores the nearer integer
+    side first, and prunes against the best incumbent.  Bounds and
     incumbents are compared as ``sense * value`` (``sense`` is -1 for
     ``max``), so smaller is better in both directions.  When every objective
     coefficient is an integer, relaxation bounds are rounded before pruning.
@@ -352,11 +456,12 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
     can_round = all(c.denominator == 1 for c in lp.objective)
 
     best: LPSolution | None = None
-    stack = [lp]
+    stack = [(lp, certificate)]
     while stack:
-        node = stack.pop()
-        sol = solve_lp(node, certificate)
-        certificate = None  # nodes below the root get none
+        node, start = stack.pop()
+        if start is None:
+            start = _start(node)
+        sol = solve_lp(node, start)
         if sol.status == "infeasible":
             continue
         if best is not None:
@@ -378,10 +483,20 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
         # the same names, so nothing to check
         down = node._replace(variables=head + (Variable(name, lo, floor_val),) + tail)
         up = node._replace(variables=head + (Variable(name, floor_val + 1, hi),) + tail)
-        if val - floor_val <= Fraction(1, 2):
-            stack.append(up)
-            stack.append(down)  # nearer side explored first (LIFO)
+        if type(start) is _Simplex:
+            # down starts from a copy and up from the parent's own state; a
+            # child whose bounds cross gets None, which solve_lp reports
+            # infeasible without building a simplex
+            down_start = start.copy()
+            if not down_start.bound(idx, _ZERO, floor_val - lo):
+                down_start = None
+            up_start = start if start.bound(idx, floor_val + 1 - lo, hi - lo) else None
         else:
-            stack.append(down)
-            stack.append(up)
+            down_start = up_start = None
+        if val - floor_val <= Fraction(1, 2):
+            stack.append((up, up_start))
+            stack.append((down, down_start))  # nearer side explored first (LIFO)
+        else:
+            stack.append((down, down_start))
+            stack.append((up, up_start))
     return best if best is not None else LPSolution("infeasible")

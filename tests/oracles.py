@@ -155,12 +155,12 @@ def random_bounded_ilp(rng: random.Random, max_vars: int = 12, max_range: int = 
     return linear_program(rng.choice(("min", "max")), variables, objective, constraints)
 
 
-def random_lp(rng: random.Random, max_vars: int = 5, max_rows: int = 4) -> LinearProgram:
+def random_lp(rng: random.Random, max_vars: int = 5, max_rows: int = 4, min_width: int = 0) -> LinearProgram:
     nv = rng.randint(1, max_vars)
     variables = []
     for i in range(nv):
         lo = rng.randint(-4, 1)
-        hi = lo + rng.randint(0, 7)
+        hi = lo + rng.randint(min_width, 7)
         variables.append((f"v{i}", lo, hi))
     objective = [rng.randint(-5, 5) for _ in range(nv)]
     constraints = []

@@ -239,7 +239,7 @@ def test_criterion_8_lp_ilp_engine():
         8,
         grid_checked == 100 and feasibility_checked > 20,
         f"ILP == grid enumeration on {grid_checked} programs, {feasibility_checked} exact-feasible "
-        f"LP solves, Beale instance terminates at -1/20 under Bland",
+        f"LP solves, Beale instance terminates at -1/20",
     )
 
 

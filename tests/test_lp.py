@@ -45,8 +45,7 @@ def young_program(profile, c):
 
 
 
-# Beale's cycling example, boxed at 10: the box cuts off no optimum and keeps
-# the 5-pivot path of the unboxed program.
+# Beale's cycling example, boxed at 10: the box cuts off no optimum.
 BEALE = linear_program(
     "min",
     [("x1", 0, 10), ("x2", 0, 10), ("x3", 0, 10), ("x4", 0, 10)],
@@ -55,6 +54,19 @@ BEALE = linear_program(
         (sparse([F(1, 4), -60, F(-1, 25), 9]), "<=", 0),
         (sparse([F(1, 2), -90, F(-1, 50), 3]), "<=", 0),
         (sparse([0, 0, 1, 0]), "<=", 1),
+    ],
+)
+# The LP dual of BEALE: min w3 s.t. A^T w >= -c, w >= 0.  The start is dual
+# degenerate, since w1 and w2 cost nothing.  Boxed at 10, as BEALE.
+TRANSPOSED_BEALE = linear_program(
+    "min",
+    [("w1", 0, 10), ("w2", 0, 10), ("w3", 0, 10)],
+    [0, 0, 1],
+    [
+        (sparse([F(1, 4), F(1, 2), 0]), ">=", F(3, 4)),
+        (sparse([-60, -90, 0]), ">=", -150),
+        (sparse([F(-1, 25), F(-1, 50), 1]), ">=", F(1, 50)),
+        (sparse([9, 3, 0]), ">=", -6),
     ],
 )
 
@@ -132,19 +144,7 @@ class TestSolveLP:
         check_feasible(BEALE, sol.assignment)
 
     def test_transposed_beale_is_dual_degenerate_and_terminates(self):
-        # The LP dual of BEALE: min w3 s.t. A^T w >= -c, w >= 0.  The start is
-        # dual degenerate, since w1 and w2 cost nothing.  Boxed at 10, as BEALE.
-        lp = linear_program(
-            "min",
-            [("w1", 0, 10), ("w2", 0, 10), ("w3", 0, 10)],
-            [0, 0, 1],
-            [
-                (sparse([F(1, 4), F(1, 2), 0]), ">=", F(3, 4)),
-                (sparse([-60, -90, 0]), ">=", -150),
-                (sparse([F(-1, 25), F(-1, 50), 1]), ">=", F(1, 50)),
-                (sparse([9, 3, 0]), ">=", -6),
-            ],
-        )
+        lp = TRANSPOSED_BEALE
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == F(1, 20)
@@ -176,6 +176,48 @@ class TestSolveLP:
             elif sol.status == "infeasible":
                 assert res.status == 2
         assert checked > 20
+
+    def test_bound_flips_against_scipy(self, monkeypatch):
+        # Boxes at least 2 wide, so that the ratio test can pass a column by
+        # flipping it; every flip goes through `_Simplex._move`.
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        flips = []
+        move = lp_module._Simplex._move
+
+        def counted(self, moves):
+            flips.extend(moves)
+            return move(self, moves)
+
+        monkeypatch.setattr(lp_module._Simplex, "_move", counted)
+        rng = random.Random(2605)
+        checked = 0
+        for _ in range(60):
+            lp = random_lp(rng, max_vars=8, max_rows=6, min_width=2)
+            sol = solve_lp(lp)
+            sense, res = scipy_linprog(scipy_opt, lp)
+            if sol.status == "optimal":
+                assert res.status == 0
+                assert abs(sense * res.fun - float(sol.objective_value)) < 1e-7
+                check_feasible(lp, sol.assignment)
+                checked += 1
+            else:
+                assert res.status == 2
+        assert checked > 20
+        assert len(flips) == 45
+
+    def test_duals_that_do_not_prove_the_optimum_raise(self, monkeypatch):
+        # The slacks' reduced costs are the multipliers that prove a simplex
+        # optimum; raising one breaks the proof.
+        solve = lp_module._Simplex.solve
+
+        def tampered(self):
+            done = solve(self)
+            self.z[len(MIN_LP.variables)] += 1
+            return done
+
+        monkeypatch.setattr(lp_module._Simplex, "solve", tampered)
+        with pytest.raises(RuntimeError, match="internal: the final basis's duals"):
+            solve_lp(MIN_LP)
 
 
 # min x1 + 2 x2, x1 + x2 >= 3, x1 <= 2 (a row), x1 in [0, 4], x2 in [1, 5]:
@@ -350,8 +392,10 @@ class TestSolveILP:
         assert dual_bound(lp, certificate[1]) == 12
         calls = self.counted_lp_calls(monkeypatch)
         sol = solve_ilp(lp, certificate)
-        # only the root call gets the certificate
-        assert len(calls) > 1 and calls[0] == (certificate,) and set(calls[1:]) == {(None,)}
+        # only the root call gets the certificate; every other node gets the
+        # simplex it starts from
+        assert len(calls) == 9 and calls[0] == (certificate,)
+        assert all(type(start) is lp_module._Simplex for start, in calls[1:])
         assert sol == solve_ilp(lp)
         assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
 
@@ -386,7 +430,7 @@ class TestSolveILP:
         calls = self.counted_lp_calls(monkeypatch)
         sol = solve_ilp(lp, certificate)
         assert (sol.status, sol.objective_value) == ("optimal", 19)
-        assert calls == [(None,)]
+        assert len(calls) == 1 and type(calls[0][0]) is lp_module._Simplex
         check_feasible(lp, sol.assignment)
 
     def test_rounding_keeps_fractional_rows(self):
@@ -407,7 +451,24 @@ class TestSolveILP:
                             [(sparse([2, 2]), "<=", 9), (sparse([2, -2]), "<=", 3)])
         sol = solve_ilp(lp)
         assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
-        assert len(nodes) > 1 and set(nodes) == {"max"}
+        assert len(nodes) == 9 and set(nodes) == {"max"}
+
+    @pytest.mark.parametrize("certificate, cold", [(None, 1), (([3, F(3, 2)], [F(5, 4), F(1, 4)]), 2)],
+                             ids=["root", "certified-root"])
+    def test_children_start_from_their_parents_simplex(self, monkeypatch, certificate, cold):
+        # Only the root builds a slack-basis simplex, or, when a certificate
+        # settled the root without one, the root's two children.
+        builds = []
+        start = lp_module._start
+
+        def counted(lp):
+            builds.append(lp)
+            return start(lp)
+
+        monkeypatch.setattr(lp_module, "_start", counted)
+        sol = solve_ilp(self.FRACTIONAL_ROOT, certificate)
+        assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
+        assert len(builds) == cold
 
 
 class TestProgramTypes:
@@ -541,11 +602,29 @@ class TestPivotCounts:
         return pivots(lambda: SCHEMES[name].scores(profile))
 
     def test_beale(self, pivots):
-        assert pivots(lambda: solve_lp(BEALE)) == 5
+        assert pivots(lambda: solve_lp(BEALE)) == 2
+
+    def test_transposed_beale_takes_bland_steps(self, pivots, monkeypatch):
+        # Its degenerate pivots make the steps after them Bland steps: 4 of
+        # the 6.  Without that fallback, largest-violation pricing cycles on
+        # this program, so the recorder stops it.
+        steps = []
+        leaving_row = lp_module._Simplex._leaving_row
+
+        def recorded(self, bland):
+            r = leaving_row(self, bland)
+            if r >= 0:
+                steps.append(bland)
+                assert len(steps) <= 50, "no optimum after 50 steps"
+            return r
+
+        monkeypatch.setattr(lp_module._Simplex, "_leaving_row", recorded)
+        assert pivots(lambda: solve_lp(TRANSPOSED_BEALE)) == 6
+        assert steps == [False, True, True, True, True, False]
 
     @pytest.mark.parametrize(
         "fixture, expected",
-        [("cycle", [3, 6, 3, 3]), ("young_ranking14", [333, 44, 32, 34])],
+        [("cycle", [3, 3, 3, 3]), ("young_ranking14", [111, 14, 24, 12])],
     )
     def test_scheme_scores_on_fixtures(self, pivots, fixture, expected):
         profile = parse_profile((FIXTURES / f"{fixture}.elect").read_text())
@@ -555,7 +634,7 @@ class TestPivotCounts:
         totals = {
             name: sum(self.engine_pivots(pivots, name, p) for p in ic_grid(0)) for name in SCHEMES
         }
-        assert totals == {"dodgson": 154, "young": 89, "dodgson-star": 160, "young-star": 74}
+        assert totals == {"dodgson": 92, "young": 46, "dodgson-star": 95, "young-star": 39}
 
     def test_certified_starred_scores_make_no_pivot(self, pivots):
         # The greedy certificates settle every starred score of these inputs,

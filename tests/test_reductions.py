@@ -374,7 +374,7 @@ class TestVerifyChain:
             assert score == 2 * k + 1
             assert validate_young_witness(p, x, score, kept)
         assert (red.kappa1, red.kappa2) == (5, 4)
-        assert searches == [(23, 1010), (31, 1031)]
+        assert searches == [(25, 108), (31, 129)]
 
     def test_guard_propagates(self):
         with pytest.raises(ValueError, match="exceed 2"):
