@@ -115,11 +115,11 @@ def _dodgson_program(profile: Profile, c: CandidateId, weak: bool):
     groups = _merge((key(order), g, count) for g, (order, count) in enumerate(table))
     groups = [(lifts, members) for lifts, members in groups if lifts]
     variables, objective, constraints = [], [], []
-    for h, (lifts, members) in enumerate(groups):
+    for lifts, members in groups:
         cap = sum(count for _, count in members)
         start = len(variables)
         for i, (j, k) in enumerate(lifts):
-            variables.append((f"m[{h},{j}]", 0, cap))
+            variables.append((0, cap))
             objective.append(j)
             # Rival k's row holds this lift and every deeper one of the group.
             rival[k].update(dict.fromkeys(range(start + i, start + len(lifts)), 1))
@@ -142,13 +142,13 @@ def dodgson_rows(profile: Profile, c: CandidateId, *, weak: bool):
     at a higher cost and against the same capacity.  Orders with the same
     short rivals above c, nearest first, at the same distances form one
     group, and an order with none gets no column, so a (weak) Condorcet
-    winner's program is empty.  Variable ``m[h,j]`` counts the voters of
-    group h in which c is lifted j positions; it costs j swaps per voter and
-    is bounded by the group's voters, which a capacity row shares out over
-    the lifts when there are two or more.  No two rival rows coincide: every
-    short rival stands above c in some order, and in a group the lift that
-    ends just above the nearer of two short rivals, or above the only one of
-    them there, passes that rival and not the other.
+    winner's program is empty.  The column of lift j in group h counts the
+    voters of group h in which c is lifted j positions; it costs j swaps per
+    voter and is bounded by the group's voters, which a capacity row shares
+    out over the lifts when there are two or more.  No two rival rows
+    coincide: every short rival stands above c in some order, and in a group
+    the lift that ends just above the nearer of two short rivals, or above
+    the only one of them there, passes that rival and not the other.
 
     Rows are ``{column: coefficient}`` mappings of their nonzeros: a capacity
     row holds its group's lifts, and a rival row the lifts that pass that
@@ -171,7 +171,7 @@ def _young_program(profile: Profile, c: CandidateId, weak: bool):
         return tuple(k in beaten for k in rivals)
 
     groups = _merge((key(order), g, count) for g, (order, count) in enumerate(_order_counts(profile).items()))
-    variables = [(f"y[{h}]", 0, sum(count for _, count in members)) for h, (_, members) in enumerate(groups)]
+    variables = [(0, sum(count for _, count in members)) for _, members in groups]
     objective = [1] * len(groups)
     rhs = 0 if weak else 1
     rows = dict.fromkeys(tuple(1 if beaten[i] else -1 for beaten, _ in groups) for i in range(len(rivals)))
@@ -183,11 +183,11 @@ def young_rows(profile: Profile, c: CandidateId, *, weak: bool):
     """Keep program for c as the ``(variables, objective, constraints)`` of
     :func:`linear_program`.
 
-    Orders in which c beats the same rivals form one group.  Variable
-    ``y[h]`` counts the kept voters of group h.  Against every rival,
-    supporters of c minus opponents among the kept voters must be at least
-    1 (a strict majority) or, when ``weak``, 0 (its closure, whose LP value
-    is the starred score); rivals with the same row share one.  Rows are
+    Orders in which c beats the same rivals form one group.  The column of
+    group h counts its kept voters.  Against every rival, supporters of c
+    minus opponents among the kept voters must be at least 1 (a strict
+    majority) or, when ``weak``, 0 (its closure, whose LP value is the
+    starred score); rivals with the same row share one.  Rows are
     ``{column: coefficient}`` mappings over every column, since each entry
     is +1 or -1 and none is zero.
     """
@@ -349,13 +349,13 @@ def solve_program(lp: LinearProgram, solve, certificate=None, groups=None):
         raise RuntimeError("internal: score program must be feasible")  # pragma: no cover
     if groups is None:
         return sol.objective_value, None
-    columns = iter(lp.variables)
+    values = iter(sol.assignment.values())
     witness = []
     for labels, members in groups:
         left = [count for _, count in members]
         i = 0
         for label in labels:
-            value = int(sol[next(columns).name])
+            value = int(next(values))
             while value:
                 share = min(left[i], value)
                 witness.append((members[i][0], *label, share))

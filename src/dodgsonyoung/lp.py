@@ -16,14 +16,16 @@ one falls back to Bland's rule in dual form, which keeps the search finite
 (see `_Simplex`).  Branch and bound starts each child from its parent's
 final simplex with one column's bounds moved.  Every coefficient is a
 Fraction, so feasibility and optimality hold exactly; there is no tolerance
-anywhere.  Every optimum is checked by substitution and proved by the final
-basis's multipliers through `dual_bound`.  The program types are named
-tuples that turn ints into Fractions and reject floats in their
-``__new__``.  Programs are sparse from end to end: a
-`Constraint` is built from a ``{column: coefficient}`` mapping and holds the
-``(column, coefficient)`` pairs of its nonzero entries, and each simplex row
-starts as a dict of them, so building and checking a program cost its
-nonzeros, not rows times columns.
+anywhere.  Every optimum, from the simplex or from a certificate, passes
+one check: substitution, and a value that its multipliers prove through
+`dual_bound`.  The program types are named tuples that turn ints into
+Fractions and reject floats in their ``__new__``.  Columns are positional:
+a `Variable` is the ``(lower, upper)`` pair of its column, and a solution's
+assignment is ``{column: value}`` in column order.  Programs are sparse from
+end to end: a `Constraint` is built from a ``{column: coefficient}`` mapping
+and holds the ``(column, coefficient)`` pairs of its nonzero entries, and
+each simplex row starts as a dict of them, so building and checking a
+program cost its nonzeros, not rows times columns.
 
 A caller that already knows a good point can pass it to `solve_lp` with a
 dual vector as a certificate.  The point is checked by substitution and the
@@ -55,16 +57,16 @@ def frac(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class Variable(namedtuple("Variable", "name lower upper")):
+class Variable(namedtuple("Variable", "lower upper")):
+    """The bounds of one column."""
+
     __slots__ = ()
 
-    def __new__(cls, name, lower, upper):
-        bounds = []
+    def __new__(cls, lower, upper):
         for side, bound in (("lower", lower), ("upper", upper)):
             if bound is None:
-                raise ValueError(f"variable {name!r} needs a finite {side} bound")
-            bounds.append(frac(bound))
-        return super().__new__(cls, name, *bounds)
+                raise ValueError(f"a variable needs a finite {side} bound")
+        return super().__new__(cls, frac(lower), frac(upper))
 
 
 class Constraint(namedtuple("Constraint", "coeffs relation rhs")):
@@ -100,9 +102,8 @@ class LinearProgram(namedtuple("LinearProgram", "direction variables objective c
     def __new__(cls, direction, variables, objective, constraints=()):
         if direction not in ("min", "max"):
             raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-        names = [v.name for v in variables]
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be unique")
+        if not all(isinstance(v, Variable) for v in variables):
+            raise TypeError("variables must be Variable records")
         if len(objective) != len(variables):
             raise ValueError("objective length does not match variable count")
         n = len(variables)
@@ -113,7 +114,7 @@ class LinearProgram(namedtuple("LinearProgram", "direction variables objective c
 
 
 def linear_program(direction, variables, objective, constraints=()) -> LinearProgram:
-    """Convenience constructor: variables as (name, lower, upper), constraints
+    """Convenience constructor: variables as (lower, upper), constraints
     as (coeffs, relation, rhs) with coeffs a {column: coefficient} mapping
     (see `Constraint`)."""
     return LinearProgram(
@@ -126,15 +127,12 @@ def linear_program(direction, variables, objective, constraints=()) -> LinearPro
 
 class LPSolution(namedtuple("LPSolution", "status assignment objective_value")):
     """``status`` is 'optimal' or 'infeasible'; a boxed program has no other
-    outcome.  ``sol[name]`` reads the value of a variable."""
+    outcome.  ``assignment`` maps each column to its value, in column order."""
 
     __slots__ = ()
 
     def __new__(cls, status, assignment=None, objective_value=None):
         return super().__new__(cls, status, {} if assignment is None else assignment, objective_value)
-
-    def __getitem__(self, name: str) -> Fraction:
-        return self.assignment[name]
 
 
 class _Simplex:
@@ -305,18 +303,6 @@ class _Simplex:
             bland = ratio == 0
 
 
-def _verify_solution(lp: LinearProgram, assignment: dict[str, Fraction]) -> None:
-    for var in lp.variables:
-        val = assignment[var.name]
-        if not var.lower <= val <= var.upper:
-            raise RuntimeError(f"internal: bound violation on {var.name}")
-    values = [assignment[v.name] for v in lp.variables]
-    for con in lp.constraints:
-        lhs = sum((a * values[j] for j, a in con.coeffs if values[j]), _ZERO)
-        if not (lhs <= con.rhs if con.relation == "<=" else lhs >= con.rhs):
-            raise RuntimeError("internal: constraint violation in reported solution")
-
-
 def dual_bound(lp: LinearProgram, duals) -> Fraction | None:
     """The bound on lp's optimum that the multipliers ``duals`` (one per
     constraint) prove: a lower bound for ``min``, an upper bound for ``max``.
@@ -349,6 +335,24 @@ def dual_bound(lp: LinearProgram, duals) -> Fraction | None:
     return sense * total
 
 
+def _optimal(lp: LinearProgram, values: list[Fraction], duals) -> LPSolution | None:
+    """The optimum at ``values``, one per column, when the multipliers
+    ``duals`` prove its value through `dual_bound`, else None.  A value
+    outside its bounds or a broken row raises: every point that reaches
+    here claims to be feasible."""
+    for j, (var, x) in enumerate(zip(lp.variables, values)):
+        if not var.lower <= x <= var.upper:
+            raise RuntimeError(f"internal: bound violation on column {j}")
+    for con in lp.constraints:
+        lhs = sum((a * values[j] for j, a in con.coeffs if values[j]), _ZERO)
+        if not (lhs <= con.rhs if con.relation == "<=" else lhs >= con.rhs):
+            raise RuntimeError("internal: constraint violation in reported solution")
+    value = sum((c * x for c, x in zip(lp.objective, values) if x), _ZERO)
+    if dual_bound(lp, duals) != value:
+        return None
+    return LPSolution("optimal", dict(enumerate(values)), value)
+
+
 def _start(lp: LinearProgram) -> _Simplex | None:
     """The slack-basis simplex of lp, or None when a column's bounds cross.
 
@@ -375,8 +379,8 @@ def _start(lp: LinearProgram) -> _Simplex | None:
 
 
 def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
-    """Solve exactly; an optimum is re-verified by substitution and proved by
-    the final basis's duals.
+    """Solve exactly; every optimum, certified or from the simplex, passes
+    the one check `_optimal`: substitution, and a value its multipliers prove.
 
     ``certificate`` is an optional ``(point, duals)`` pair: a value per
     variable and a multiplier per constraint.  An infeasible point is a
@@ -398,24 +402,17 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
             point, duals = certificate
             if len(point) != len(lp.variables):
                 raise ValueError("one value per variable expected")
-            assignment = {v.name: frac(x) for v, x in zip(lp.variables, point)}
-            _verify_solution(lp, assignment)
-            value = _objective_value(lp, assignment)
-            if value == dual_bound(lp, duals):
-                return LPSolution("optimal", assignment, value)
+            sol = _optimal(lp, [frac(x) for x in point], duals)
+            if sol is not None:
+                return sol
         simplex = _start(lp)
     if simplex is None or not simplex.solve():
         return LPSolution("infeasible")
-    assignment = {v.name: v.lower + x if v.lower else x for v, x in zip(lp.variables, simplex.x)}
-    _verify_solution(lp, assignment)
-    value = _objective_value(lp, assignment)
-    if dual_bound(lp, simplex.z[len(lp.variables):]) != value:
+    values = [v.lower + x if v.lower else x for v, x in zip(lp.variables, simplex.x)]
+    sol = _optimal(lp, values, simplex.z[len(values):])
+    if sol is None:
         raise RuntimeError("internal: the final basis's duals do not prove the optimum")
-    return LPSolution("optimal", assignment, value)
-
-
-def _objective_value(lp: LinearProgram, assignment: dict[str, Fraction]) -> Fraction:
-    return sum((c * x for c, v in zip(lp.objective, lp.variables) if (x := assignment[v.name])), _ZERO)
+    return sol
 
 
 def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
@@ -468,21 +465,16 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
             bound = sense * sol.objective_value
             if (math.ceil(bound) if can_round else bound) >= sense * best.objective_value:
                 continue
-        fractional = [
-            (i, value)
-            for i, var in enumerate(node.variables)
-            if (value := sol.assignment[var.name]).denominator != 1
-        ]
+        fractional = [(i, value) for i, value in sol.assignment.items() if value.denominator != 1]
         if not fractional:
             best = sol
             continue
         idx, val = max(fractional, key=lambda item: (item[1].denominator, -item[0]))
-        name, lo, hi = node.variables[idx]
+        lo, hi = node.variables[idx]
         floor_val = Fraction(math.floor(val))
         head, tail = node.variables[:idx], node.variables[idx + 1:]
-        # the same names, so nothing to check
-        down = node._replace(variables=head + (Variable(name, lo, floor_val),) + tail)
-        up = node._replace(variables=head + (Variable(name, floor_val + 1, hi),) + tail)
+        down = node._replace(variables=head + (Variable(lo, floor_val),) + tail)
+        up = node._replace(variables=head + (Variable(floor_val + 1, hi),) + tail)
         if type(start) is _Simplex:
             # down starts from a copy and up from the parent's own state; a
             # child whose bounds cross gets None, which solve_lp reports

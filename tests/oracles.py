@@ -133,7 +133,7 @@ def _rows(coeffs, rel, rhs):
 def random_bounded_ilp(rng: random.Random, max_vars: int = 12, max_range: int = 6,
                        max_grid: int = 4096) -> LinearProgram:
     nv = rng.randint(1, max_vars)
-    ranges = []
+    variables = []
     budget = max_grid
     for _ in range(nv):
         cap = max_range
@@ -142,10 +142,9 @@ def random_bounded_ilp(rng: random.Random, max_vars: int = 12, max_range: int = 
         size = rng.randint(0, cap)
         budget //= size + 1
         lo = rng.randint(-3, 2)
-        ranges.append((lo, lo + size))
-    variables = [(f"v{i}", lo, hi) for i, (lo, hi) in enumerate(ranges)]
+        variables.append((lo, lo + size))
     objective = [rng.randint(-5, 5) for _ in range(nv)]
-    anchor = [rng.randint(lo, hi) for lo, hi in ranges]
+    anchor = [rng.randint(lo, hi) for lo, hi in variables]
     constraints = []
     for _ in range(rng.randint(1, 4)):
         coeffs = [rng.choice((0, 0, 1, -1, 2, -2, 3, -3, 4, -4)) for _ in range(nv)]
@@ -158,10 +157,10 @@ def random_bounded_ilp(rng: random.Random, max_vars: int = 12, max_range: int = 
 def random_lp(rng: random.Random, max_vars: int = 5, max_rows: int = 4, min_width: int = 0) -> LinearProgram:
     nv = rng.randint(1, max_vars)
     variables = []
-    for i in range(nv):
+    for _ in range(nv):
         lo = rng.randint(-4, 1)
         hi = lo + rng.randint(min_width, 7)
-        variables.append((f"v{i}", lo, hi))
+        variables.append((lo, hi))
     objective = [rng.randint(-5, 5) for _ in range(nv)]
     constraints = []
     for _ in range(rng.randint(0, max_rows)):
@@ -220,9 +219,9 @@ def scipy_milp(scipy_opt, lp: LinearProgram):
 
 
 def per_order_dodgson_rows(profile: Profile, c: str, *, weak: bool):
-    """Reference lift program with no merging: one column ``m[g,j]`` per distinct
-    order g and lift j, a capacity row per order that can lift c, and one
-    majority row per rival still short of the threshold."""
+    """Reference lift program with no merging: one column per distinct order g
+    and lift j, a capacity row per order that can lift c, and one majority row
+    per rival still short of the threshold."""
     table, baseline = gain_matrix(profile, c)
     n = profile.num_voters
     thr = Fraction(n, 2) if weak else majority_threshold(n)
@@ -232,7 +231,7 @@ def per_order_dodgson_rows(profile: Profile, c: str, *, weak: bool):
         for g, (order, _) in enumerate(table)
         for j in range(1, order.index(c) + 1)
     ]
-    variables = [(f"m[{g},{j}]", 0, table[g][1]) for g, j, _ in cols]
+    variables = [(0, table[g][1]) for g, _, _ in cols]
     objective = [j for _, j, _ in cols]
     constraints = [
         (sparse(1 if h == g else 0 for h, _, _ in cols), "<=", count)
@@ -254,12 +253,12 @@ def short_rivals(profile: Profile, c: str, *, weak: bool) -> tuple[str, ...]:
 
 
 def per_order_young_rows(profile: Profile, c: str, *, weak: bool):
-    """Reference keep program with no merging: one column ``y[g]`` per distinct
-    order g and one row per rival."""
+    """Reference keep program with no merging: one column per distinct order
+    and one row per rival."""
     counts: dict = {}
     for order, mult in profile.voters:
         counts[order] = counts.get(order, 0) + mult
-    variables = [(f"y[{g}]", 0, count) for g, count in enumerate(counts.values())]
+    variables = [(0, count) for count in counts.values()]
     constraints = [
         (sparse(1 if order.index(c) < order.index(k) else -1 for order in counts), ">=", 0 if weak else 1)
         for k in profile.candidates
@@ -323,15 +322,15 @@ def dodgson_score_dp(profile: Profile, c: str, cap: int = 200_000) -> int:
 def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:
     """Reference Dodgson*: the lift-fraction LP with one row per expanded voter.
 
-    x[i,j] is the share of voter i's replicas lifting c by j positions (j=0
-    stays put); each voter's shares sum to 1 (a ``<=`` and a ``>=`` row), and
+    The column of (i, j) is the share of voter i's replicas lifting c by j
+    positions (j=0 stays put); each voter's shares sum to 1 (a ``<=`` and a ``>=`` row), and
     every rival needs n/2 voters preferring c.
     """
     orders = profile.expanded()
     variables, objective, meta = [], [], []
     for i, order in enumerate(orders):
         for j in range(order.index(c) + 1):
-            variables.append((f"x[{i + 1},{j}]", 0, 1))
+            variables.append((0, 1))
             objective.append(j)
             meta.append((i, j))
     constraints = [
@@ -352,9 +351,9 @@ def per_voter_dodgson_star(profile: Profile, c: str) -> Fraction:
 
 
 def per_voter_young_star(profile: Profile, c: str) -> Fraction:
-    """Reference Young*: the keep-weight LP with one column y[i] in [0, 1] per expanded voter."""
+    """Reference Young*: the keep-weight LP with one column in [0, 1] per expanded voter."""
     orders = profile.expanded()
-    variables = [(f"y[{i + 1}]", 0, 1) for i in range(len(orders))]
+    variables = [(0, 1)] * len(orders)
     constraints = [
         (sparse(1 if order.index(c) < order.index(k) else -1 for order in orders), ">=", 0)
         for k in profile.candidates

@@ -187,11 +187,12 @@ def test_criterion_7_starred_scale_invariance():
 
 
 def _verify_exact(lp, assignment):
-    for var in lp.variables:
-        val = assignment[var.name]
+    assert list(assignment) == list(range(len(lp.variables)))
+    values = list(assignment.values())
+    for var, val in zip(lp.variables, values):
         assert var.lower <= val <= var.upper
     for con in lp.constraints:
-        lhs = sum(a * assignment[v.name] for a, v in zip(dense(con, len(lp.variables)), lp.variables))
+        lhs = sum(a * x for a, x in zip(dense(con, len(values)), values))
         assert lhs <= con.rhs if con.relation == "<=" else lhs >= con.rhs
 
 
@@ -225,7 +226,7 @@ def test_criterion_8_lp_ilp_engine():
             feasibility_checked += 1
     beale = linear_program(  # boxed at 10, as in test_lp.BEALE
         "min",
-        [("x1", 0, 10), ("x2", 0, 10), ("x3", 0, 10), ("x4", 0, 10)],
+        [(0, 10)] * 4,
         [F(-3, 4), 150, F(-1, 50), 6],
         [
             (sparse([F(1, 4), -60, F(-1, 25), 9]), "<=", 0),

@@ -48,7 +48,7 @@ def young_program(profile, c):
 # Beale's cycling example, boxed at 10: the box cuts off no optimum.
 BEALE = linear_program(
     "min",
-    [("x1", 0, 10), ("x2", 0, 10), ("x3", 0, 10), ("x4", 0, 10)],
+    [(0, 10)] * 4,
     [F(-3, 4), 150, F(-1, 50), 6],
     [
         (sparse([F(1, 4), -60, F(-1, 25), 9]), "<=", 0),
@@ -60,7 +60,7 @@ BEALE = linear_program(
 # degenerate, since w1 and w2 cost nothing.  Boxed at 10, as BEALE.
 TRANSPOSED_BEALE = linear_program(
     "min",
-    [("w1", 0, 10), ("w2", 0, 10), ("w3", 0, 10)],
+    [(0, 10)] * 3,
     [0, 0, 1],
     [
         (sparse([F(1, 4), F(1, 2), 0]), ">=", F(3, 4)),
@@ -72,42 +72,59 @@ TRANSPOSED_BEALE = linear_program(
 
 
 def check_feasible(lp, assignment):
-    for var in lp.variables:
-        val = assignment[var.name]
+    # every column, in column order, whichever path solved the program
+    assert list(assignment) == list(range(len(lp.variables)))
+    values = list(assignment.values())
+    for var, val in zip(lp.variables, values):
         assert var.lower <= val <= var.upper
     for con in lp.constraints:
-        lhs = sum(a * assignment[v.name] for a, v in zip(dense(con, len(lp.variables)), lp.variables))
+        lhs = sum(a * x for a, x in zip(dense(con, len(values)), values))
         if con.relation == "<=":
             assert lhs <= con.rhs
         else:
             assert lhs >= con.rhs
 
 
+@pytest.fixture
+def pivot_cap(monkeypatch):
+    """Fail a test whose solves take more than 50 pivots in all, so that a
+    simplex that cycles fails the test instead of hanging it."""
+    pivots = []
+    pivot = lp_module._Simplex._pivot
+
+    def capped(self, *args):
+        pivots.append(None)
+        assert len(pivots) <= 50, "no optimum after 50 pivots"
+        return pivot(self, *args)
+
+    monkeypatch.setattr(lp_module._Simplex, "_pivot", capped)
+
+
 class TestSolveLP:
     def test_box_maximum(self):
-        sol = solve_lp(linear_program("max", [("x", 0, 3)], [1], []))
+        sol = solve_lp(linear_program("max", [(0, 3)], [1], []))
         assert sol.status == "optimal"
         assert sol.objective_value == 3
-        assert sol["x"] == 3
+        assert sol.assignment[0] == 3
 
     def test_infeasible_pair(self):
-        lp = linear_program("min", [("x", 0, 5)], [1], [(sparse([1]), ">=", 2), (sparse([1]), "<=", 1)])
+        lp = linear_program("min", [(0, 5)], [1], [(sparse([1]), ">=", 2), (sparse([1]), "<=", 1)])
         assert solve_lp(lp).status == "infeasible"
 
     def test_crossed_bounds_infeasible(self):
-        assert solve_lp(linear_program("min", [("x", 2, 1)], [1], [])).status == "infeasible"
+        assert solve_lp(linear_program("min", [(2, 1)], [1], [])).status == "infeasible"
 
     def test_fixed_variables_only(self):
-        sol = solve_lp(linear_program("min", [("x", 2, 2)], [3], [(sparse([1]), "<=", 2)]))
+        sol = solve_lp(linear_program("min", [(2, 2)], [3], [(sparse([1]), "<=", 2)]))
         assert sol.status == "optimal"
         assert sol.objective_value == 6
-        bad = solve_lp(linear_program("min", [("x", 2, 2)], [3], [(sparse([1]), "<=", 1)]))
+        bad = solve_lp(linear_program("min", [(2, 2)], [3], [(sparse([1]), "<=", 1)]))
         assert bad.status == "infeasible"
 
     def test_degenerate_equalities(self):
         lp = linear_program(
             "min",
-            [("x", 0, 10), ("y", 0, 10)],
+            [(0, 10), (0, 10)],
             [1, 1],
             # dependent rows, both tight at the optimum
             [(sparse([1, 1]), ">=", 4), (sparse([2, 2]), ">=", 8)],
@@ -120,7 +137,7 @@ class TestSolveLP:
         # lift fractions for the 3-cycle, candidate A: one constraint worth 1/2
         lp = linear_program(
             "min",
-            [("x21", 0, 1), ("x22", 0, 1), ("x31", 0, 1)],
+            [(0, 1), (0, 1), (0, 1)],
             [1, 2, 1],
             [(sparse([1, 1, 0]), "<=", 1), (sparse([1, 1, 1]), ">=", F(1, 2))],
         )
@@ -137,13 +154,13 @@ class TestSolveLP:
                         best = obj if best is None else min(best, obj)
         assert best == F(1, 2)
 
-    def test_beale_cycling_instance_terminates_with_bland(self):
+    def test_beale_cycling_instance_terminates_with_bland(self, pivot_cap):
         sol = solve_lp(BEALE)
         assert sol.status == "optimal"
         assert sol.objective_value == F(-1, 20)
         check_feasible(BEALE, sol.assignment)
 
-    def test_transposed_beale_is_dual_degenerate_and_terminates(self):
+    def test_transposed_beale_is_dual_degenerate_and_terminates(self, pivot_cap):
         lp = TRANSPOSED_BEALE
         sol = solve_lp(lp)
         assert sol.status == "optimal"
@@ -224,7 +241,7 @@ class TestSolveLP:
 # the optimum is 4 at (2, 1).
 MIN_LP = linear_program(
     "min",
-    [("x1", 0, 4), ("x2", 1, 5)],
+    [(0, 4), (1, 5)],
     [1, 2],
     [(sparse([1, 1]), ">=", 3), (sparse([1, 0]), "<=", 2)],
 )
@@ -232,7 +249,7 @@ MIN_LP = linear_program(
 # the optimum is 11 at (3, 1).
 MAX_LP = linear_program(
     "max",
-    [("x", 0, 3), ("y", 0, 4)],
+    [(0, 3), (0, 4)],
     [3, 2],
     [(sparse([1, 1]), "<=", 4), (sparse([1, 3]), "<=", 6), (sparse([2, 0]), ">=", 6)],
 )
@@ -274,7 +291,7 @@ class TestCertificate:
     def test_meeting_certificate_is_returned_without_a_pivot(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_Simplex", None)  # building one would fail
         sol = solve_lp(MAX_LP, ([3, 1], [2, 0, 0]))
-        assert (sol.status, sol.objective_value, sol.assignment) == ("optimal", 11, {"x": 3, "y": 1})
+        assert (sol.status, sol.objective_value, list(sol.assignment.items())) == ("optimal", 11, [(0, 3), (1, 1)])
         assert solve_lp(MIN_LP, ([2, 1], [1, 0])).objective_value == 4
 
     @pytest.mark.parametrize(
@@ -299,12 +316,12 @@ class TestCertificate:
 
 class TestSolveILP:
     def test_round_down_relaxation(self):
-        sol = solve_ilp(linear_program("max", [("x", 0, F(5, 2))], [1], []))
+        sol = solve_ilp(linear_program("max", [(0, F(5, 2))], [1], []))
         assert sol.objective_value == 2
-        assert sol["x"] == 2
+        assert sol.assignment[0] == 2
 
     def test_empty_integer_window(self):
-        lp = linear_program("max", [("x", F(1, 3), F(2, 3))], [1], [])
+        lp = linear_program("max", [(F(1, 3), F(2, 3))], [1], [])
         assert solve_ilp(lp).status == "infeasible"
 
     def test_relaxation_bounds_minimization(self):
@@ -340,25 +357,25 @@ class TestSolveILP:
         # integral y <= 3/4 is 0, so the optimum is 7 at x = 7.
         lp = linear_program(
             "max",
-            [("x", 0, 10), ("y", 0, 10)],
+            [(0, 10), (0, 10)],
             [1, 1],
             [(sparse([1, 2]), "<=", F(15, 2)), (sparse([0, 1]), "<=", F(3, 4))],
         )
         sol = solve_ilp(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == grid_solve_ilp(lp) == 7
-        assert (sol["x"], sol["y"]) == (7, 0)
-        assert sol["y"].denominator == 1
+        assert sol.assignment == {0: 7, 1: 0}
+        assert sol.assignment[1].denominator == 1
 
     def test_branches_on_a_variable_the_objective_ignores(self):
         # max x with x <= 2y and 2y <= 3: the relaxation takes y = 3/2, which
         # costs nothing, so only branching on y finds the optimum x = 2.
-        lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [1, 0],
+        lp = linear_program("max", [(0, 10), (0, 10)], [1, 0],
                             [({0: 1, 1: -2}, "<=", 0), ({1: 2}, "<=", 3)])
         relaxed = solve_lp(lp)
-        assert (relaxed.objective_value, relaxed["x"], relaxed["y"]) == (3, 3, F(3, 2))
+        assert (relaxed.objective_value, relaxed.assignment) == (3, {0: 3, 1: F(3, 2)})
         sol = solve_ilp(lp)
-        assert (sol.objective_value, sol["x"], sol["y"]) == (2, 2, 1)
+        assert (sol.objective_value, sol.assignment) == (2, {0: 2, 1: 1})
         assert grid_solve_ilp(lp) == 2
 
     @staticmethod
@@ -373,17 +390,17 @@ class TestSolveILP:
         return calls
 
     def test_certified_integral_root_ends_the_search(self, monkeypatch):
-        lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [1, 1], [(sparse([1, 1]), "<=", 4)])
+        lp = linear_program("max", [(0, 10), (0, 10)], [1, 1], [(sparse([1, 1]), "<=", 4)])
         calls = self.counted_lp_calls(monkeypatch)
         pivots = []
         monkeypatch.setattr(lp_module._Simplex, "_pivot", lambda *args: pivots.append(args))
         sol = solve_ilp(lp, ([4, 0], [1]))
-        assert (sol.objective_value, sol["x"], sol["y"]) == (4, 4, 0)
+        assert (sol.objective_value, sol.assignment) == (4, {0: 4, 1: 0})
         assert calls == [(([4, 0], [1]),)] and pivots == []
 
     # Its root optimum is x = 3, y = 3/2 of value 12, which the multipliers
     # 5/4 and 1/4 prove; its integer optimum is 10 at x = y = 2.
-    FRACTIONAL_ROOT = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [3, 2],
+    FRACTIONAL_ROOT = linear_program("max", [(0, 10), (0, 10)], [3, 2],
                                      [(sparse([2, 2]), "<=", 9), (sparse([2, -2]), "<=", 3)])
 
     def test_certified_fractional_root_still_branches(self, monkeypatch):
@@ -397,7 +414,7 @@ class TestSolveILP:
         assert len(calls) == 9 and calls[0] == (certificate,)
         assert all(type(start) is lp_module._Simplex for start, in calls[1:])
         assert sol == solve_ilp(lp)
-        assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
+        assert (sol.objective_value, sol.assignment) == (10, {0: 2, 1: 2})
 
     @pytest.mark.parametrize(
         "certificate",
@@ -435,8 +452,8 @@ class TestSolveILP:
 
     def test_rounding_keeps_fractional_rows(self):
         # Rows with a fractional coefficient keep their right-hand side.
-        lp = linear_program("max", [("x", 0, 10)], [1], [({0: F(1, 2)}, "<=", F(3, 2))])
-        assert solve_ilp(lp)["x"] == 3
+        lp = linear_program("max", [(0, 10)], [1], [({0: F(1, 2)}, "<=", F(3, 2))])
+        assert solve_ilp(lp).assignment[0] == 3
 
     def test_branch_and_bound_keeps_the_sense(self, monkeypatch):
         # every node relaxation is the given maximisation, not a negated copy
@@ -447,10 +464,10 @@ class TestSolveILP:
             return solve_lp(lp, certificate)
 
         monkeypatch.setattr(lp_module, "solve_lp", recorded)
-        lp = linear_program("max", [("x", 0, 10), ("y", 0, 10)], [3, 2],
+        lp = linear_program("max", [(0, 10), (0, 10)], [3, 2],
                             [(sparse([2, 2]), "<=", 9), (sparse([2, -2]), "<=", 3)])
         sol = solve_ilp(lp)
-        assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
+        assert (sol.objective_value, sol.assignment) == (10, {0: 2, 1: 2})
         assert len(nodes) == 9 and set(nodes) == {"max"}
 
     @pytest.mark.parametrize("certificate, cold", [(None, 1), (([3, F(3, 2)], [F(5, 4), F(1, 4)]), 2)],
@@ -467,23 +484,31 @@ class TestSolveILP:
 
         monkeypatch.setattr(lp_module, "_start", counted)
         sol = solve_ilp(self.FRACTIONAL_ROOT, certificate)
-        assert (sol.objective_value, sol["x"], sol["y"]) == (10, 2, 2)
+        assert (sol.objective_value, sol.assignment) == (10, {0: 2, 1: 2})
         assert len(builds) == cold
 
 
 class TestProgramTypes:
     def test_validation(self):
         with pytest.raises(ValueError):
-            linear_program("down", [("x", 0, 1)], [1], [])
+            linear_program("down", [(0, 1)], [1], [])
         with pytest.raises(ValueError):
-            linear_program("min", [("x", 0, 1), ("x", 0, 1)], [1, 1], [])
-        with pytest.raises(ValueError):
-            linear_program("min", [("x", 0, 1)], [1, 2], [])
+            linear_program("min", [(0, 1)], [1, 2], [])
         for relation in ("<", "="):
             with pytest.raises(ValueError, match="bad relation"):
-                linear_program("min", [("x", 0, 1)], [1], [({0: 1}, relation, 0)])
+                linear_program("min", [(0, 1)], [1], [({0: 1}, relation, 0)])
         with pytest.raises(ValueError, match="constraint column 1 out of range 0..0"):
-            linear_program("min", [("x", 0, 1)], [1], [({1: 1}, "<=", 1)])
+            linear_program("min", [(0, 1)], [1], [({1: 1}, "<=", 1)])
+
+    def test_variables_are_bound_pairs(self):
+        assert linear_program("min", [(0, 1), (0, 1)], [1, 1], []).variables == (Variable(0, 1),) * 2
+        # a name is no longer part of a variable
+        with pytest.raises(TypeError):
+            linear_program("min", [("x", 0, 1)], [1], [])
+        # a raw pair is not a Variable, and would hide a float from the checks
+        for bounds in ((0, 1), (0, 2.5)):
+            with pytest.raises(TypeError, match="Variable"):
+                LinearProgram("min", (bounds,), (F(1),))
 
     def test_dense_and_mapping_rows_build_equal_constraints(self):
         # `oracles.sparse` turns a dense row into the mapping a row is built from
@@ -492,7 +517,7 @@ class TestProgramTypes:
         assert all(type(a) is F for _, a in con.coeffs)
         assert con == Constraint({3: F(-1, 3), 1: 2, 0: 0}, "<=", 3)
         assert dense(con, 4) == [0, 2, 0, F(-1, 3)]
-        variables = [(name, 0, 1) for name in "wxyz"]
+        variables = [(0, 1)] * 4
         from_dense = linear_program("min", variables, [1] * 4, [(sparse([0, 2, 0, F(-1, 3)]), "<=", 3)])
         assert from_dense == linear_program("min", variables, [1] * 4, [({1: 2, 3: F(-1, 3)}, "<=", 3)])
 
@@ -501,19 +526,19 @@ class TestProgramTypes:
             with pytest.raises(TypeError, match="mapping"):
                 Constraint(coeffs, "<=", 1)
             with pytest.raises(TypeError, match="mapping"):
-                linear_program("min", [("x", 0, 1), ("y", 0, 1)], [1, 1], [(coeffs, "<=", 1)])
+                linear_program("min", [(0, 1), (0, 1)], [1, 1], [(coeffs, "<=", 1)])
 
     def test_row_input_is_checked_before_zeros_drop(self):
         for coeffs in ({0: 0.0}, {0: 0.0, 1: 1}, sparse([0.0, 1])):
             with pytest.raises(TypeError):
                 Constraint(coeffs, "<=", 1)
             with pytest.raises(TypeError):
-                linear_program("min", [("x", 0, 1), ("y", 0, 1)], [1, 1], [(coeffs, "<=", 1)])
-        variables = [("x", 0, 1), ("y", 0, 1)]
+                linear_program("min", [(0, 1), (0, 1)], [1, 1], [(coeffs, "<=", 1)])
+        variables = [(0, 1), (0, 1)]
         for coeffs in ({2: 1}, {-1: 1}, {"x": 1}, {True: 1}):
             with pytest.raises(ValueError):
                 linear_program("min", variables, [1, 1], [(coeffs, "<=", 1)])
-        x, y = Variable("x", 0, 1), Variable("y", 0, 1)
+        x, y = Variable(0, 1), Variable(0, 1)
         with pytest.raises(ValueError):
             LinearProgram("min", (x, y), (F(1), F(1)), (Constraint({2: 1}, "<=", 1),))
 
@@ -521,16 +546,16 @@ class TestProgramTypes:
         with pytest.raises(TypeError):
             frac(0.5)
         with pytest.raises(TypeError):
-            linear_program("min", [("x", 0, 1)], [0.5], [])
+            linear_program("min", [(0, 1)], [0.5], [])
 
     def test_floats_rejected_without_linear_program(self):
-        x = Variable("x", 0, 1)
+        x = Variable(0, 1)
         programs = [
             lambda: LinearProgram("max", (x,), (F(1),), (Constraint({0: F(3)}, "<=", 0.1),)),
             lambda: LinearProgram("max", (x,), (F(1),), (Constraint({0: 0.5}, "<=", F(1)),)),
             lambda: LinearProgram("max", (x,), (0.5,)),
-            lambda: LinearProgram("max", (Variable("x", F(0), 2.5),), (F(1),)),
-            lambda: LinearProgram("max", (Variable("x", -0.5, 1),), (F(1),)),
+            lambda: LinearProgram("max", (Variable(F(0), 2.5),), (F(1),)),
+            lambda: LinearProgram("max", (Variable(-0.5, 1),), (F(1),)),
         ]
         for program in programs:
             with pytest.raises(TypeError):
@@ -538,17 +563,17 @@ class TestProgramTypes:
 
     def test_bounds_required(self):
         programs = [
-            lambda: Variable("x", None, 1),
-            lambda: linear_program("min", [("x", None, None)], [1], []),
-            lambda: LinearProgram("min", (Variable("x", lower=None, upper=1),), (F(1),)),
+            lambda: Variable(None, 1),
+            lambda: linear_program("min", [(None, None)], [1], []),
+            lambda: LinearProgram("min", (Variable(lower=None, upper=1),), (F(1),)),
         ]
         for program in programs:
             with pytest.raises(ValueError, match="finite lower bound"):
                 program()
         programs = [
-            lambda: Variable("x", 0, None),
-            lambda: linear_program("min", [("x", 0, None)], [1], []),
-            lambda: LinearProgram("min", (Variable("x", lower=0, upper=None),), (F(1),)),
+            lambda: Variable(0, None),
+            lambda: linear_program("min", [(0, None)], [1], []),
+            lambda: LinearProgram("min", (Variable(lower=0, upper=None),), (F(1),)),
         ]
         for program in programs:
             with pytest.raises(ValueError, match="finite upper bound"):
@@ -557,15 +582,15 @@ class TestProgramTypes:
     def test_ints_become_fractions_without_linear_program(self):
         lp = LinearProgram(
             "max",
-            (Variable("x", 0, 3), Variable("y", 0, 5)),
+            (Variable(0, 3), Variable(0, 5)),
             (1, 1),
             (Constraint(sparse((2, 3)), "<=", 7), Constraint(sparse((1, -1)), ">=", 0)),
         )
         assert all(type(a) is F for con in lp.constraints for a in (*dense(con, 2), con.rhs))
         assert all(type(a) is F for v in lp.variables for a in (v.lower, v.upper))
         sol = solve_lp(lp)
-        assert (sol.objective_value, sol["x"], sol["y"]) == (F(10, 3), 3, F(1, 3))
-        assert type(sol.objective_value) is F and type(sol["y"]) is F
+        assert (sol.objective_value, sol.assignment) == (F(10, 3), {0: 3, 1: F(1, 3)})
+        assert type(sol.objective_value) is F and type(sol.assignment[1]) is F
 
 
 class TestPivotCounts:
@@ -604,10 +629,10 @@ class TestPivotCounts:
     def test_beale(self, pivots):
         assert pivots(lambda: solve_lp(BEALE)) == 2
 
-    def test_transposed_beale_takes_bland_steps(self, pivots, monkeypatch):
+    def test_transposed_beale_takes_bland_steps(self, pivots, pivot_cap, monkeypatch):
         # Its degenerate pivots make the steps after them Bland steps: 4 of
         # the 6.  Without that fallback, largest-violation pricing cycles on
-        # this program, so the recorder stops it.
+        # this program, so the pivot cap stops it.
         steps = []
         leaving_row = lp_module._Simplex._leaving_row
 
@@ -615,7 +640,6 @@ class TestPivotCounts:
             r = leaving_row(self, bland)
             if r >= 0:
                 steps.append(bland)
-                assert len(steps) <= 50, "no optimum after 50 steps"
             return r
 
         monkeypatch.setattr(lp_module._Simplex, "_leaving_row", recorded)

@@ -29,22 +29,23 @@ STAR3 = "vertices: h l1 l2 l3\nedge: h l1\nedge: h l2\nedge: l3 h\n"
 
 
 def _program():
-    return linear_program("max", [("x", 0, 3), ("y", 0, 5)], [1, 2], [({0: 2, 1: 3}, "<=", 7)])
+    return linear_program("max", [(0, 3), (0, 5)], [1, 2], [({0: 2, 1: 3}, "<=", 7)])
 
 
-# Taken from the frozen dataclasses these records replaced.
+# Taken from the frozen dataclasses these records replaced; the LP records
+# have since dropped their column names.
 REPRS = [
-    (lambda: Variable("x", 0, F(5, 2)),
-     "Variable(name='x', lower=Fraction(0, 1), upper=Fraction(5, 2))"),
+    (lambda: Variable(0, F(5, 2)),
+     "Variable(lower=Fraction(0, 1), upper=Fraction(5, 2))"),
     (lambda: Constraint({0: 1, 2: F(-1, 3)}, "<=", 3),
      "Constraint(coeffs=((0, Fraction(1, 1)), (2, Fraction(-1, 3))), relation='<=', rhs=Fraction(3, 1))"),
     (_program,
-     "LinearProgram(direction='max', variables=(Variable(name='x', lower=Fraction(0, 1), "
-     "upper=Fraction(3, 1)), Variable(name='y', lower=Fraction(0, 1), upper=Fraction(5, 1))), "
+     "LinearProgram(direction='max', variables=(Variable(lower=Fraction(0, 1), "
+     "upper=Fraction(3, 1)), Variable(lower=Fraction(0, 1), upper=Fraction(5, 1))), "
      "objective=(Fraction(1, 1), Fraction(2, 1)), constraints=(Constraint(coeffs=((0, "
      "Fraction(2, 1)), (1, Fraction(3, 1))), relation='<=', rhs=Fraction(7, 1)),))"),
     (lambda: solve_lp(_program()),
-     "LPSolution(status='optimal', assignment={'x': Fraction(0, 1), 'y': Fraction(7, 3)}, "
+     "LPSolution(status='optimal', assignment={0: Fraction(0, 1), 1: Fraction(7, 3)}, "
      "objective_value=Fraction(14, 3))"),
     (lambda: LPSolution("infeasible"),
      "LPSolution(status='infeasible', assignment={}, objective_value=None)"),
@@ -70,7 +71,7 @@ def _family():
 
 
 HASHABLE = {
-    "Variable": lambda: Variable("x", 0, 1),
+    "Variable": lambda: Variable(0, 1),
     "Constraint": lambda: Constraint({0: 1, 2: 2}, ">=", 1),
     "LinearProgram": _program,
     "Profile": lambda: parse_profile(CYCLE),
@@ -116,7 +117,7 @@ def test_solutions_do_not_share_an_assignment():
     a, b = LPSolution("infeasible"), LPSolution("infeasible")
     assert a.assignment == b.assignment == {}
     assert a.assignment is not b.assignment
-    assert solve_lp(_program())["y"] == F(7, 3)
+    assert solve_lp(_program()).assignment[1] == F(7, 3)
 
 
 def test_tracer_binds_expanded_on_the_profile_class():
