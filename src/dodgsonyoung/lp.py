@@ -5,16 +5,15 @@ both bounds finite and every row ``<=`` or ``>=``, plus a depth-first
 branch-and-bound wrapper for pure integer programs, in which every
 variable is integral.  Every score program is boxed, since each of its
 variables counts voters, and a boxed program is either infeasible or has an
-optimum.  Column j of the simplex is variable j minus its lower bound, so
-it ranges over ``[0, upper - lower]``.  Every row starts basic in its own
-slack and every column at the bound its cost prefers, which is dual
-feasible, so there is one phase and no artificial column.  Each step
+optimum.  Every row starts basic in its own slack and every column at the
+bound its cost prefers, which is dual feasible, so there is one phase and
+no artificial column.  Each step
 leaves on the row furthest outside its bounds, and its ratio test flips a
 boxed column to its other bound instead of entering it while the row stays
 short (the bound-flipping or long-step test); the step after a degenerate
 one falls back to Bland's rule in dual form, which keeps the search finite
 (see `_Simplex`).  Branch and bound starts each child from its parent's
-final simplex with one column's bounds moved.  Every coefficient is a
+simplex with one column's bounds set to the child's.  Every coefficient is a
 Fraction, so feasibility and optimality hold exactly; there is no tolerance
 anywhere.  Every optimum, from the simplex or from a certificate, passes
 one check: substitution, and a value that its multipliers prove through
@@ -68,6 +67,9 @@ class Variable(namedtuple("Variable", "lower upper")):
                 raise ValueError(f"a variable needs a finite {side} bound")
         return super().__new__(cls, frac(lower), frac(upper))
 
+    # namedtuple's `_replace` builds through `_make`, which skips `__new__`
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
 
 class Constraint(namedtuple("Constraint", "coeffs relation rhs")):
     """A row ``sum_j a_j x_j <relation> rhs``.
@@ -95,6 +97,11 @@ class Constraint(namedtuple("Constraint", "coeffs relation rhs")):
         # as a mapping, since the pairs are not one
         return dict(self.coeffs), self.relation, self.rhs
 
+    @classmethod
+    def _make(cls, fields):  # as in Variable, with the pairs as a mapping again
+        coeffs, relation, rhs = fields
+        return cls(dict(coeffs), relation, rhs)
+
 
 class LinearProgram(namedtuple("LinearProgram", "direction variables objective constraints")):
     __slots__ = ()
@@ -111,6 +118,8 @@ class LinearProgram(namedtuple("LinearProgram", "direction variables objective c
             if con.coeffs and con.coeffs[-1][0] >= n:
                 raise ValueError(f"constraint column {con.coeffs[-1][0]} out of range 0..{n - 1}")
         return super().__new__(cls, direction, variables, tuple(frac(c) for c in objective), constraints)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # as in Variable
 
 
 def linear_program(direction, variables, objective, constraints=()) -> LinearProgram:
@@ -136,7 +145,7 @@ class LPSolution(namedtuple("LPSolution", "status assignment objective_value")):
 
 
 class _Simplex:
-    """Bounded dual simplex on equality rows with columns in [0, u].
+    """Bounded dual simplex on equality rows with columns in [lower, upper].
 
     Column n + r is row r's slack, with a single entry 1 in that row; it
     starts basic, and every other column starts at the bound its cost
@@ -146,9 +155,8 @@ class _Simplex:
     pivot row, and a pivot touches only the rows that hold the entering
     column.  `basis` holds the basic column of each row, `x` the value of
     every column and `z` the reduced cost of every column.  A nonbasic
-    column sits at 0 or at its upper bound, so a nonzero value marks the
-    upper one.  Program columns are boxed; a slack's upper bound is None,
-    since no row bounds its surplus.
+    column sits at its lower or its upper bound.  Program columns are boxed;
+    a slack's bounds are 0 and None, since no row bounds its surplus.
 
     Each step takes the basic column that lies furthest outside its bounds
     (ties to the smallest index) and moves it to the bound it violates.  The
@@ -165,40 +173,39 @@ class _Simplex:
     of it would follow a degenerate one and so be a Bland step, and Bland's
     rule in dual form cannot cycle.
 
-    Branch and bound starts a child from a `copy` of its parent's final
-    state, with one column's bounds moved by `bound`: the reduced costs are
+    Branch and bound starts a child from a `copy` of its parent's state,
+    with one column's bounds set by `bound`: the reduced costs are
     untouched, so the start stays dual feasible and the same loop repairs
     the basic values.
     """
 
-    def __init__(self, rows, rhs, upper, costs):
+    def __init__(self, rows, rhs, lower, upper, costs):
         # The row dicts and lists are taken over, not copied.
-        n = len(upper) - len(rows)
         self.rows: list[dict[int, Fraction]] = rows
+        self.lower: list[Fraction | int] = lower
         self.upper: list[Fraction | None] = upper
         self.z: list[Fraction] = costs
-        self.basis = list(range(n, len(upper)))
-        self.x = [u if c < 0 else _ZERO for u, c in zip(upper, costs)]
+        self.basis = list(range(len(upper) - len(rows), len(upper)))
+        self.x = [u if c < 0 else lo for lo, u, c in zip(lower, upper, costs)]
         for col, row, b in zip(self.basis, rows, rhs):
             self.x[col] = b - sum((a * self.x[j] for j, a in row.items() if self.x[j]), _ZERO)
 
     def copy(self) -> _Simplex:
         other = object.__new__(_Simplex)
         other.rows = [dict(row) for row in self.rows]
-        other.upper, other.z, other.basis, other.x = self.upper[:], self.z[:], self.basis[:], self.x[:]
+        other.lower, other.upper = self.lower[:], self.upper[:]
+        other.z, other.basis, other.x = self.z[:], self.basis[:], self.x[:]
         return other
 
     def bound(self, j: int, lower: Fraction, upper: Fraction) -> bool:
-        """Narrow column j to [lower, upper] in its current units, and make
-        lower its new 0; False when the bounds cross.  A nonbasic column that
-        falls outside moves to the bound it sat at."""
+        """Set column j's bounds to [lower, upper]; False when they cross.  A
+        nonbasic column that falls outside moves to the bound it sat at."""
         if upper < lower:
             return False
-        x = self.x
-        x[j] -= lower
-        self.upper[j] = upper = upper - lower
-        if j not in self.basis and not 0 <= x[j] <= upper:
-            self._move(((j, (_ZERO if x[j] < 0 else upper) - x[j]),))
+        self.lower[j], self.upper[j] = lower, upper
+        x = self.x[j]
+        if j not in self.basis and not lower <= x <= upper:
+            self._move(((j, (lower if x < lower else upper) - x),))
         return True
 
     def _move(self, moves) -> None:
@@ -238,12 +245,12 @@ class _Simplex:
         """The row whose basic column leaves, or -1 when every basic column
         is within its bounds: the furthest outside, or with ``bland`` the
         smallest column outside, ties to the smallest column."""
-        x, upper = self.x, self.upper
+        x, lower, upper = self.x, self.lower, self.upper
         r, leave, worst = -1, -1, _ZERO
         for i, col in enumerate(self.basis):
             value, ub = x[col], upper[col]
-            if value < 0:
-                gap = -value
+            if value < lower[col]:
+                gap = lower[col] - value
             elif ub is not None and value > ub:
                 gap = value - ub
             else:
@@ -255,21 +262,21 @@ class _Simplex:
     def solve(self) -> bool:
         """Pivot until every basic column is within its bounds; False when a
         row shows that none of its values is reachable (infeasible)."""
-        x, upper, z = self.x, self.upper, self.z
+        x, lower, upper, z = self.x, self.lower, self.upper, self.z
         bland = False
         while True:
             r = self._leaving_row(bland)
             if r < 0:
                 return True
             leave, row = self.basis[r], self.rows[r]
-            to_upper = x[leave] > 0
-            target = upper[leave] if to_upper else _ZERO
+            to_upper = x[leave] > lower[leave]
+            target = upper[leave] if to_upper else lower[leave]
             # Moving an eligible column off its bound moves `leave` towards
             # `target`; the first reduced cost to reach zero decides.  Fixed
-            # columns are skipped first, so a nonzero value is the upper bound.
+            # columns are skipped first, so a value off the lower bound is the upper one.
             enter, ratio, breakpoints = -1, None, []
             for j, a in row.items():
-                if j == leave or upper[j] == 0 or ((a > 0) != to_upper) != (x[j] != 0):
+                if j == leave or upper[j] == lower[j] or ((a > 0) != to_upper) != (x[j] != lower[j]):
                     continue
                 t = abs(z[j] / a)
                 breakpoints.append((t, j, a))
@@ -278,16 +285,16 @@ class _Simplex:
             if enter < 0:
                 return False
             step = (x[leave] - target) / row[enter]
-            if not bland and upper[enter] is not None and abs(step) > upper[enter]:
+            if not bland and upper[enter] is not None and abs(step) > upper[enter] - lower[enter]:
                 # Entering would carry the column past its other bound: pass
                 # breakpoints while a flip leaves the row short.
                 short, flips = abs(x[leave] - target), []
                 for ratio, enter, a in sorted(breakpoints):
-                    u = upper[enter]
-                    if u is None or abs(a) * u >= short:
+                    width = None if upper[enter] is None else upper[enter] - lower[enter]
+                    if width is None or abs(a) * width >= short:
                         break
-                    short -= abs(a) * u
-                    flips.append((enter, -u if x[enter] else u))
+                    short -= abs(a) * width
+                    flips.append((enter, width if x[enter] == lower[enter] else -width))
                 else:
                     return False
                 self._move(flips)
@@ -356,26 +363,25 @@ def _optimal(lp: LinearProgram, values: list[Fraction], duals) -> LPSolution | N
 def _start(lp: LinearProgram) -> _Simplex | None:
     """The slack-basis simplex of lp, or None when a column's bounds cross.
 
-    Column j is variable j minus its lower bound, of width upper - lower.
+    Column j keeps variable j's bounds, a zero lower bound as the int 0.
     Row r gets slack column n + r with coefficient +1; a '>=' row is
     negated first.
     """
-    lower = [v.lower for v in lp.variables]
-    upper = [v.upper - v.lower if v.lower else v.upper for v in lp.variables]
-    if any(u < 0 for u in upper):
+    if any(v.upper < v.lower for v in lp.variables):
         return None
     costs = list(lp.objective) if lp.direction == "min" else [-c for c in lp.objective]
-    n = len(upper)
+    n, m = len(costs), len(lp.constraints)
     rows, rhs = [], []
     for r, con in enumerate(lp.constraints):
-        row = dict(con.coeffs)
-        b = con.rhs - sum((a * lower[j] for j, a in row.items() if lower[j]), _ZERO)
+        row, b = dict(con.coeffs), con.rhs
         if con.relation == ">=":
             row, b = {j: -a for j, a in row.items()}, -b
         row[n + r] = _ONE
         rows.append(row)
         rhs.append(b)
-    return _Simplex(rows, rhs, upper + [None] * len(rows), costs + [_ZERO] * len(rows))
+    lower = [v.lower or 0 for v in lp.variables] + [0] * m
+    upper = [v.upper for v in lp.variables] + [None] * m
+    return _Simplex(rows, rhs, lower, upper, costs + [_ZERO] * m)
 
 
 def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
@@ -408,7 +414,7 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
         simplex = _start(lp)
     if simplex is None or not simplex.solve():
         return LPSolution("infeasible")
-    values = [v.lower + x if v.lower else x for v, x in zip(lp.variables, simplex.x)]
+    values = [x or _ZERO for x in simplex.x[:len(lp.variables)]]  # no int 0 leaves the simplex
     sol = _optimal(lp, values, simplex.z[len(values):])
     if sol is None:
         raise RuntimeError("internal: the final basis's duals do not prove the optimum")
@@ -430,13 +436,14 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
 
     A node is ``lp`` with tightened bounds, and the stack holds each node
     program, a child being its parent with one `Variable` replaced, with the
-    `_Simplex` its `solve_lp` call starts from.  A child starts from its
-    parent's final simplex with the branched column's bounds moved, so that
-    only the basic values need repair; a child of a root that had a
-    certificate, which built no simplex for it, starts from the slack basis.
-    Branches on the fractional variable whose value has the largest
-    denominator (ties to the smallest index), explores the nearer integer
-    side first, and prunes against the best incumbent.  Bounds and
+    `_Simplex` its `solve_lp` call starts from.  Every child starts from its
+    parent's final simplex with the branched column's bounds set to the
+    child's own, so that only the basic values need repair; a root given a
+    certificate has none, so its slack-basis one is built before it
+    branches.  A child whose bounds cross gets None: `solve_lp` reports it
+    infeasible.  Branches on the fractional variable whose value has the
+    largest denominator (ties to the smallest index), explores the nearer
+    integer side first, and prunes against the best incumbent.  Bounds and
     incumbents are compared as ``sense * value`` (``sense`` is -1 for
     ``max``), so smaller is better in both directions.  When every objective
     coefficient is an integer, relaxation bounds are rounded before pruning.
@@ -453,11 +460,9 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
     can_round = all(c.denominator == 1 for c in lp.objective)
 
     best: LPSolution | None = None
-    stack = [(lp, certificate)]
+    stack = [(lp, _start(lp) if certificate is None else certificate)]
     while stack:
         node, start = stack.pop()
-        if start is None:
-            start = _start(node)
         sol = solve_lp(node, start)
         if sol.status == "infeasible":
             continue
@@ -470,25 +475,18 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
             best = sol
             continue
         idx, val = max(fractional, key=lambda item: (item[1].denominator, -item[0]))
+        if type(start) is not _Simplex:
+            start = _start(node)
         lo, hi = node.variables[idx]
         floor_val = Fraction(math.floor(val))
         head, tail = node.variables[:idx], node.variables[idx + 1:]
-        down = node._replace(variables=head + (Variable(lo, floor_val),) + tail)
-        up = node._replace(variables=head + (Variable(floor_val + 1, hi),) + tail)
-        if type(start) is _Simplex:
-            # down starts from a copy and up from the parent's own state; a
-            # child whose bounds cross gets None, which solve_lp reports
-            # infeasible without building a simplex
-            down_start = start.copy()
-            if not down_start.bound(idx, _ZERO, floor_val - lo):
-                down_start = None
-            up_start = start if start.bound(idx, floor_val + 1 - lo, hi - lo) else None
-        else:
-            down_start = up_start = None
+        # down starts from a copy and up from the parent's own state; the
+        # nearer side is pushed last, so it is explored first (LIFO)
+        children = [(lo, floor_val, start.copy()), (floor_val + 1, hi, start)]
         if val - floor_val <= Fraction(1, 2):
-            stack.append((up, up_start))
-            stack.append((down, down_start))  # nearer side explored first (LIFO)
-        else:
-            stack.append((down, down_start))
-            stack.append((up, up_start))
+            children.reverse()
+        for lower, upper, child in children:
+            var = Variable(lower, upper)
+            child = child if child.bound(idx, *var) else None
+            stack.append((node._replace(variables=head + (var,) + tail), child))
     return best if best is not None else LPSolution("infeasible")

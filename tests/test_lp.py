@@ -470,11 +470,11 @@ class TestSolveILP:
         assert (sol.objective_value, sol.assignment) == (10, {0: 2, 1: 2})
         assert len(nodes) == 9 and set(nodes) == {"max"}
 
-    @pytest.mark.parametrize("certificate, cold", [(None, 1), (([3, F(3, 2)], [F(5, 4), F(1, 4)]), 2)],
+    @pytest.mark.parametrize("certificate, cold", [(None, 1), (([3, F(3, 2)], [F(5, 4), F(1, 4)]), 1)],
                              ids=["root", "certified-root"])
     def test_children_start_from_their_parents_simplex(self, monkeypatch, certificate, cold):
-        # Only the root builds a slack-basis simplex, or, when a certificate
-        # settled the root without one, the root's two children.
+        # Only the root builds a slack-basis simplex, also when a certificate
+        # settled it without one: then it is built once, before branching.
         builds = []
         start = lp_module._start
 
@@ -486,6 +486,33 @@ class TestSolveILP:
         sol = solve_ilp(self.FRACTIONAL_ROOT, certificate)
         assert (sol.objective_value, sol.assignment) == (10, {0: 2, 1: 2})
         assert len(builds) == cold
+
+    @pytest.mark.parametrize(
+        "lp, certificate",
+        [
+            (FRACTIONAL_ROOT, None),
+            (FRACTIONAL_ROOT, ([3, F(3, 2)], [F(5, 4), F(1, 4)])),
+            (random_bounded_ilp(random.Random(37), max_vars=6, max_grid=4096), None),
+        ],
+        ids=["root", "certified-root", "negative-lower-bounds"],
+    )
+    def test_every_start_holds_its_nodes_own_bounds(self, monkeypatch, lp, certificate):
+        # The simplex keeps each column's real [lower, upper], not a width
+        # shifted to 0, so a node's start carries exactly the node's box.
+        starts = []
+
+        def checked(node, start=None):
+            if type(start) is lp_module._Simplex:
+                n = len(node.variables)
+                assert list(zip(start.lower[:n], start.upper[:n])) == list(node.variables)
+                starts.append(start)
+            return solve_lp(node, start)
+
+        monkeypatch.setattr(lp_module, "solve_lp", checked)
+        sol = solve_ilp(lp, certificate)
+        assert sol.status == "optimal" and len(starts) >= 8
+        if lp is not self.FRACTIONAL_ROOT:
+            assert min(v.lower for v in lp.variables) < 0
 
 
 class TestProgramTypes:
@@ -556,6 +583,10 @@ class TestProgramTypes:
             lambda: LinearProgram("max", (x,), (0.5,)),
             lambda: LinearProgram("max", (Variable(F(0), 2.5),), (F(1),)),
             lambda: LinearProgram("max", (Variable(-0.5, 1),), (F(1),)),
+            # namedtuple's `_replace` and `_make` go through the same checks
+            lambda: LinearProgram("max", (x,), (F(1),))._replace(objective=(0.5,)),
+            lambda: Constraint._make((((0, 0.5),), "<=", 1.5)),
+            lambda: x._replace(upper=2.5),
         ]
         for program in programs:
             with pytest.raises(TypeError):
@@ -591,6 +622,12 @@ class TestProgramTypes:
         sol = solve_lp(lp)
         assert (sol.objective_value, sol.assignment) == (F(10, 3), {0: 3, 1: F(1, 3)})
         assert type(sol.objective_value) is F and type(sol.assignment[1]) is F
+        # a valid `_replace` still works and coerces; a column left at a
+        # zero lower bound reads as a Fraction too
+        lp = lp._replace(objective=(1, -1), constraints=(lp.constraints[0]._replace(rhs=6),))
+        assert lp.constraints[0] == Constraint({0: 2, 1: 3}, "<=", 6) and type(lp.constraints[0].rhs) is F
+        sol = solve_lp(lp)
+        assert sol.assignment == {0: 3, 1: 0} and all(type(x) is F for x in sol.assignment.values())
 
 
 class TestPivotCounts:

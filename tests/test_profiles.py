@@ -49,6 +49,7 @@ class TestParse:
             ("candidates: a b\nvoter -2: a > b", "positive", 2),
             ("candidates: a b\nvoter two: a > b", "multiplicity", 2),
             ("candidates: a a\nvoter: a > a", "duplicate", 1),
+            ("candidates:\nvoter: a", "empty candidate list", 1),
             ("voter: a > b", "candidates", 1),
             ("candidates: a b\nvoter: a >> b", "malformed", 2),
             # one line breaking two rules: the rule checked first wins

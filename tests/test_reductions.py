@@ -450,6 +450,7 @@ class TestSetFamilyParsing:
                 "line 2: duplicate element in member set ('x1', 'x2', 'x2')",
             ),
             ("base: x1\nsets: x1", "line 2: expected 'set:' line, got 'sets'"),
+            ("base:\nset: x1", "line 1: empty ground set"),
         ],
     )
     def test_errors(self, text, fragment):
