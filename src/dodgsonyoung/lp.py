@@ -5,20 +5,21 @@ both bounds finite and every row ``<=`` or ``>=``, plus a depth-first
 branch-and-bound wrapper for pure integer programs, in which every
 variable is integral.  Every score program is boxed, since each of its
 variables counts voters, and a boxed program is either infeasible or has an
-optimum.  Every row starts basic in its own slack and every column at the
-bound its cost prefers, which is dual feasible, so there is one phase and
-no artificial column.  Each step
-leaves on the row furthest outside its bounds, and its ratio test flips a
-boxed column to its other bound instead of entering it while the row stays
-short (the bound-flipping or long-step test); the step after a degenerate
-one falls back to Bland's rule in dual form, which keeps the search finite
-(see `_Simplex`).  Branch and bound starts each child from its parent's
-simplex with one column's bounds set to the child's.  Every coefficient is a
-Fraction, so feasibility and optimality hold exactly; there is no tolerance
-anywhere.  Every optimum, from the simplex or from a certificate, passes
-one check: substitution, and a value that its multipliers prove through
-`dual_bound`.  The program types are named tuples that turn ints into
-Fractions and reject floats in their ``__new__``.  Columns are positional:
+optimum.  `_Simplex(lp)` starts every row basic in its own slack and every
+column at the bound its cost prefers, which is dual feasible, so there is
+one phase and no artificial column.  Each step leaves on the row furthest
+outside its bounds, and its ratio test flips a boxed column to its other
+bound instead of entering it while the row stays short (the bound-flipping
+or long-step test); the step after a degenerate one falls back to Bland's
+rule in dual form, which keeps the search finite (see `_Simplex`).  Branch
+and bound starts each child from its parent's simplex with one column's
+bounds set to the child's; `solve_lp` alone reports crossed bounds, for the
+root and every child.  Every coefficient is a Fraction, so feasibility and
+optimality hold exactly; there is no tolerance anywhere.  Every optimum,
+from the simplex or from a certificate, passes one check: substitution,
+and a value that its multipliers prove through `dual_bound`.  The program
+types are named tuples that turn ints into Fractions and reject floats in
+their ``__new__``.  Columns are positional:
 a `Variable` is the ``(lower, upper)`` pair of its column, and a solution's
 assignment is ``{column: value}`` in column order.  Programs are sparse from
 end to end: a `Constraint` is built from a ``{column: coefficient}`` mapping
@@ -147,16 +148,22 @@ class LPSolution(namedtuple("LPSolution", "status assignment objective_value")):
 class _Simplex:
     """Bounded dual simplex on equality rows with columns in [lower, upper].
 
-    Column n + r is row r's slack, with a single entry 1 in that row; it
-    starts basic, and every other column starts at the bound its cost
-    prefers (upper for a negative cost, lower otherwise), so every reduced
-    cost has the right sign from the start.  Each row is a dict of its
+    `_Simplex(lp)` is the slack-basis start of a `LinearProgram`: column j
+    keeps variable j's bounds, costs are negated for ``max``, and row r, a
+    ``>=`` row negated first, gets column n + r as its slack, with a single
+    entry 1 in that row.  The slacks start basic, and every other column
+    starts at the bound its cost prefers (upper for a negative cost, lower
+    otherwise), so every reduced cost has the right sign from the start;
+    the basic values follow row by row.  Each row is a dict of its
     nonzero entries, column -> coefficient, so the ratio test reads only the
     pivot row, and a pivot touches only the rows that hold the entering
     column.  `basis` holds the basic column of each row, `x` the value of
     every column and `z` the reduced cost of every column.  A nonbasic
     column sits at its lower or its upper bound.  Program columns are boxed;
-    a slack's bounds are 0 and None, since no row bounds its surplus.
+    a slack's bounds are 0 and None, since no row bounds its surplus.  Every
+    change of values, a flip, a bound or an entering step, goes through
+    `_move`, and every change of basis through `_pivot`.  Crossed bounds
+    are not checked here: `solve_lp` reports them before it solves.
 
     Each step takes the basic column that lies furthest outside its bounds
     (ties to the smallest index) and moves it to the bound it violates.  The
@@ -179,15 +186,25 @@ class _Simplex:
     the basic values.
     """
 
-    def __init__(self, rows, rhs, lower, upper, costs):
-        # The row dicts and lists are taken over, not copied.
-        self.rows: list[dict[int, Fraction]] = rows
-        self.lower: list[Fraction | int] = lower
-        self.upper: list[Fraction | None] = upper
-        self.z: list[Fraction] = costs
-        self.basis = list(range(len(upper) - len(rows), len(upper)))
-        self.x = [u if c < 0 else lo for lo, u, c in zip(lower, upper, costs)]
-        for col, row, b in zip(self.basis, rows, rhs):
+    def __init__(self, lp: LinearProgram):
+        # A zero lower bound is kept as the int 0, cheaper to mix with a Fraction.
+        costs = list(lp.objective) if lp.direction == "min" else [-c for c in lp.objective]
+        n, m = len(costs), len(lp.constraints)
+        self.rows: list[dict[int, Fraction]] = []
+        rhs = []
+        for r, con in enumerate(lp.constraints):
+            row, b = dict(con.coeffs), con.rhs
+            if con.relation == ">=":
+                row, b = {j: -a for j, a in row.items()}, -b
+            row[n + r] = _ONE
+            self.rows.append(row)
+            rhs.append(b)
+        self.lower: list[Fraction | int] = [v.lower or 0 for v in lp.variables] + [0] * m
+        self.upper: list[Fraction | None] = [v.upper for v in lp.variables] + [None] * m
+        self.z: list[Fraction] = costs + [_ZERO] * m
+        self.basis = list(range(n, n + m))
+        self.x = [u if c < 0 else lo for lo, u, c in zip(self.lower, self.upper, self.z)]
+        for col, row, b in zip(self.basis, self.rows, rhs):
             self.x[col] = b - sum((a * self.x[j] for j, a in row.items() if self.x[j]), _ZERO)
 
     def copy(self) -> _Simplex:
@@ -197,16 +214,13 @@ class _Simplex:
         other.z, other.basis, other.x = self.z[:], self.basis[:], self.x[:]
         return other
 
-    def bound(self, j: int, lower: Fraction, upper: Fraction) -> bool:
-        """Set column j's bounds to [lower, upper]; False when they cross.  A
+    def bound(self, j: int, lower: Fraction, upper: Fraction) -> None:
+        """Set column j's bounds to [lower, upper], crossed or not.  A
         nonbasic column that falls outside moves to the bound it sat at."""
-        if upper < lower:
-            return False
         self.lower[j], self.upper[j] = lower, upper
         x = self.x[j]
         if j not in self.basis and not lower <= x <= upper:
             self._move(((j, (lower if x < lower else upper) - x),))
-        return True
 
     def _move(self, moves) -> None:
         """Move each nonbasic column j by d, for (j, d) in moves, and the
@@ -221,6 +235,8 @@ class _Simplex:
                     x[col] -= a * d
 
     def _pivot(self, r: int, col: int) -> None:
+        """Make col the basic column of row r."""
+        self.basis[r] = col
         row = self.rows[r]
         piv = row[col]
         if piv != 1:
@@ -299,13 +315,7 @@ class _Simplex:
                     return False
                 self._move(flips)
                 step = (x[leave] - target) / row[enter]
-            for col, other in zip(self.basis, self.rows):
-                a = other.get(enter)
-                if a is not None:
-                    x[col] -= a * step
-            x[leave] = target
-            x[enter] += step
-            self.basis[r] = enter
+            self._move(((enter, step),))  # exact, so `leave` lands on `target`
             self._pivot(r, enter)
             bland = ratio == 0
 
@@ -360,30 +370,6 @@ def _optimal(lp: LinearProgram, values: list[Fraction], duals) -> LPSolution | N
     return LPSolution("optimal", dict(enumerate(values)), value)
 
 
-def _start(lp: LinearProgram) -> _Simplex | None:
-    """The slack-basis simplex of lp, or None when a column's bounds cross.
-
-    Column j keeps variable j's bounds, a zero lower bound as the int 0.
-    Row r gets slack column n + r with coefficient +1; a '>=' row is
-    negated first.
-    """
-    if any(v.upper < v.lower for v in lp.variables):
-        return None
-    costs = list(lp.objective) if lp.direction == "min" else [-c for c in lp.objective]
-    n, m = len(costs), len(lp.constraints)
-    rows, rhs = [], []
-    for r, con in enumerate(lp.constraints):
-        row, b = dict(con.coeffs), con.rhs
-        if con.relation == ">=":
-            row, b = {j: -a for j, a in row.items()}, -b
-        row[n + r] = _ONE
-        rows.append(row)
-        rhs.append(b)
-    lower = [v.lower or 0 for v in lp.variables] + [0] * m
-    upper = [v.upper for v in lp.variables] + [None] * m
-    return _Simplex(rows, rhs, lower, upper, costs + [_ZERO] * m)
-
-
 def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
     """Solve exactly; every optimum, certified or from the simplex, passes
     the one check `_optimal`: substitution, and a value its multipliers prove.
@@ -396,23 +382,23 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
     dual feasible start for lp, which is solved from there and left in its
     final state.
 
-    Crossed bounds make the program infeasible.  The reduced costs of the
-    slacks are the final basis's multipliers, one per constraint; an
-    optimum whose value they do not prove raises, as a point that breaks a
-    row does.
+    Crossed bounds are checked here alone, before any simplex solves: the
+    program is infeasible, from the slack basis or a given `_Simplex` alike.
+    The reduced costs of the slacks are the final basis's multipliers, one
+    per constraint; an optimum whose value they do not prove raises, as a
+    point that breaks a row does.
     """
-    if type(certificate) is _Simplex:
-        simplex = certificate
-    else:
-        if certificate is not None:
-            point, duals = certificate
-            if len(point) != len(lp.variables):
-                raise ValueError("one value per variable expected")
-            sol = _optimal(lp, [frac(x) for x in point], duals)
-            if sol is not None:
-                return sol
-        simplex = _start(lp)
-    if simplex is None or not simplex.solve():
+    if certificate is not None and type(certificate) is not _Simplex:
+        point, duals = certificate
+        if len(point) != len(lp.variables):
+            raise ValueError("one value per variable expected")
+        sol = _optimal(lp, [frac(x) for x in point], duals)
+        if sol is not None:
+            return sol
+    if any(v.upper < v.lower for v in lp.variables):
+        return LPSolution("infeasible")
+    simplex = certificate if type(certificate) is _Simplex else _Simplex(lp)
+    if not simplex.solve():
         return LPSolution("infeasible")
     values = [x or _ZERO for x in simplex.x[:len(lp.variables)]]  # no int 0 leaves the simplex
     sol = _optimal(lp, values, simplex.z[len(values):])
@@ -439,14 +425,15 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
     `_Simplex` its `solve_lp` call starts from.  Every child starts from its
     parent's final simplex with the branched column's bounds set to the
     child's own, so that only the basic values need repair; a root given a
-    certificate has none, so its slack-basis one is built before it
-    branches.  A child whose bounds cross gets None: `solve_lp` reports it
-    infeasible.  Branches on the fractional variable whose value has the
-    largest denominator (ties to the smallest index), explores the nearer
-    integer side first, and prunes against the best incumbent.  Bounds and
-    incumbents are compared as ``sense * value`` (``sense`` is -1 for
-    ``max``), so smaller is better in both directions.  When every objective
-    coefficient is an integer, relaxation bounds are rounded before pruning.
+    certificate has none, so its slack-basis one, `_Simplex(node)`, is built
+    before it branches.  A child whose bounds cross gets its simplex like
+    any other, and `solve_lp` reports it infeasible.  Branches on the
+    fractional variable whose value has the largest denominator (ties to
+    the smallest index), explores the nearer integer side first, and prunes
+    against the best incumbent.  Bounds and incumbents are compared as
+    ``sense * value`` (``sense`` is -1 for ``max``), so smaller is better in
+    both directions.  When every objective coefficient is an integer,
+    relaxation bounds are rounded before pruning.
     """
     rows = tuple(
         con._replace(rhs=Fraction(math.ceil(con.rhs) if con.relation == ">=" else math.floor(con.rhs)))
@@ -460,7 +447,7 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
     can_round = all(c.denominator == 1 for c in lp.objective)
 
     best: LPSolution | None = None
-    stack = [(lp, _start(lp) if certificate is None else certificate)]
+    stack = [(lp, _Simplex(lp) if certificate is None else certificate)]
     while stack:
         node, start = stack.pop()
         sol = solve_lp(node, start)
@@ -476,7 +463,7 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
             continue
         idx, val = max(fractional, key=lambda item: (item[1].denominator, -item[0]))
         if type(start) is not _Simplex:
-            start = _start(node)
+            start = _Simplex(node)
         lo, hi = node.variables[idx]
         floor_val = Fraction(math.floor(val))
         head, tail = node.variables[:idx], node.variables[idx + 1:]
@@ -487,6 +474,6 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
             children.reverse()
         for lower, upper, child in children:
             var = Variable(lower, upper)
-            child = child if child.bound(idx, *var) else None
+            child.bound(idx, *var)
             stack.append((node._replace(variables=head + (var,) + tail), child))
     return best if best is not None else LPSolution("infeasible")

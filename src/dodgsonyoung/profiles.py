@@ -4,8 +4,9 @@ A profile is a candidate set together with a multiset of strict total
 preference orders.  Identical orders may be stored compressed as
 (order, multiplicity) entries; per-voter operations use expanded voter
 indices 1..n in file order.  A `Profile` is a named tuple that checks its
-entries when it is built; `parse_profile` checks each line as it reads it,
-with its line number, and then builds the record without checking again.
+entries when it is built, also through ``_replace`` and ``_make``;
+`parse_profile` checks each line as it reads it, with its line number, and
+then builds the record without checking again.
 """
 from __future__ import annotations
 
@@ -68,6 +69,9 @@ class Profile(namedtuple("Profile", "candidates voters")):
         for order, mult in voters:
             _check_voter(order, mult, names)
         return super().__new__(cls, candidates, voters)
+
+    # namedtuple's `_replace` builds through `_make`, which skips `__new__`
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def num_voters(self) -> int:
@@ -159,7 +163,7 @@ def parse_profile(text: str) -> Profile:
         voters.append((order, mult))
     if not voters:
         raise ParseError("no voter lines")
-    return Profile._make((candidates, tuple(voters)))  # every line is checked above
+    return tuple.__new__(Profile, (candidates, tuple(voters)))  # every line is checked above
 
 
 def serialize_profile(profile: Profile) -> str:

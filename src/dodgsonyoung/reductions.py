@@ -14,14 +14,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CapExceededError, ParseError
-from .exact import validate_young_witness, young_score_bruteforce, young_score_with_subset
+from .exact import _require_candidate, validate_young_witness, young_score_bruteforce, young_score_with_subset
 from .profiles import CandidateId, Profile, at_line, payload_lines
 
 # Largest vertex count `alpha` and member-set count `kappa` enumerate subsets of.
 SEARCH_CAP = 16
-# `verify_reduction_chain` brute-forces the Young Winner stage only when
-# candidates * 2^voters of the amplified profile stays within this.
-WINNER_WORK_CAP = 4_000_000
 # Largest amplified profile `amplify_for_winner` builds, in voters * candidates.
 AMPLIFY_CAP = 2_000_000
 
@@ -77,6 +74,8 @@ class Graph(namedtuple("Graph", "vertices edges")):
             normalized.append((u, v) if index[u] < index[v] else (v, u))
         return super().__new__(cls, vertices, tuple(normalized))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # as in Profile
+
 
 def graph(vertices, edges) -> Graph:
     """Build a Graph from any iterable of vertices and of edges."""
@@ -97,6 +96,8 @@ class SetFamilyInstance(namedtuple("SetFamilyInstance", "base family")):
             _check_member(member, index)
             members.append(member)
         return super().__new__(cls, base, tuple(members))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # as in Profile
 
 
 def set_family(base, family) -> SetFamilyInstance:
@@ -256,11 +257,6 @@ def mspc_to_young_ranking(inst: MSPCInstance) -> YoungReductionOutput:
     )
 
 
-def _amplified_candidates(k: int, n: int) -> int:
-    """Candidates after amplifying k candidates over n voters: c, d and n copies of each other."""
-    return 2 + (k - 2) * n
-
-
 def amplify_for_winner(profile: Profile, c: CandidateId, d: CandidateId) -> Profile:
     """Replace every non-designated candidate by a per-voter rotated block.
 
@@ -269,10 +265,8 @@ def amplify_for_winner(profile: Profile, c: CandidateId, d: CandidateId) -> Prof
     d while capping every replacement candidate's score at 1.  A single voter
     is refused: its rotation is degenerate.
     """
-    if c not in profile.candidates:
-        raise ValueError(f"unknown candidate {c!r}")
-    if d not in profile.candidates:
-        raise ValueError(f"unknown candidate {d!r}")
+    _require_candidate(profile, c)
+    _require_candidate(profile, d)
     if c == d:
         raise ValueError("designated candidates must be distinct")
     n = profile.num_voters
@@ -283,7 +277,7 @@ def amplify_for_winner(profile: Profile, c: CandidateId, d: CandidateId) -> Prof
     others = [g for g in profile.candidates if g not in (c, d)]
     if not others:
         return profile
-    size = n * _amplified_candidates(len(profile.candidates), n)
+    size = n * (2 + len(others) * n)  # c, d and n copies of each other candidate
     if size > AMPLIFY_CAP:
         raise CapExceededError(f"amplify capped at {AMPLIFY_CAP} voters x candidates, got {size}")
     new_candidates: list[str] = []
@@ -316,8 +310,9 @@ class ChainReport(namedtuple(
     "alpha1 alpha2 kappa1 kappa2 young_c young_d alpha_compare kappa_compare ranking_answer"
     " equations_hold winner_checked winner_answer consistent",
 )):
-    """Stage-by-stage answers of one reduction-chain run; ``winner_answer``
-    is None when the Young Winner stage was not checked."""
+    """Stage-by-stage answers of one reduction-chain run.  The Young Winner
+    stage is never brute-forced (see `verify_reduction_chain`), so
+    ``winner_checked`` is False and ``winner_answer`` None."""
 
     __slots__ = ()
 
@@ -325,11 +320,10 @@ class ChainReport(namedtuple(
 def verify_reduction_chain(g1: Graph, g2: Graph) -> ChainReport:
     """Run every stage of the chain and report whether all answers agree.
 
-    The Young Winner stage on the amplified profile is brute-forced only when
-    candidates * 2^voters stays within `WINNER_WORK_CAP`; otherwise it is
-    skipped and reported as unchecked.  It is sized before anything is built,
-    and no graph pair fits: two 3-stars, the smallest, give 146 amplified
-    candidates and 18 voters, and 146 * 2^18 > 4M.
+    The Young Winner stage on the amplified profile is reported as
+    unchecked and nothing is amplified: brute force would enumerate
+    candidates * 2^voters subsets, and two 3-stars, the smallest pair, give
+    146 amplified candidates and 18 voters, so 146 * 2^18 > 38M.
     """
     a1 = alpha(g1)
     a2 = alpha(g2)
@@ -345,21 +339,11 @@ def verify_reduction_chain(g1: Graph, g2: Graph) -> ChainReport:
     alpha_compare = a1 >= a2
     kappa_compare = k1 >= k2
     ranking_answer = yc >= yd
-
-    n = red.profile.num_voters
-    work = _amplified_candidates(len(red.profile.candidates), n) << n
-    winner_checked = work <= WINNER_WORK_CAP
-    winner_answer = None
-    if winner_checked:
-        all_scores = young_scores_bruteforce_all(amplify_for_winner(red.profile, red.c, red.d))
-        winner_answer = all_scores[red.c] >= max(all_scores.values())
-
     consistent = (
         a1 == k1
         and a2 == k2
         and equations_hold
         and alpha_compare == kappa_compare == ranking_answer
-        and (winner_answer is None or winner_answer == ranking_answer)
     )
     return ChainReport(
         alpha1=a1,
@@ -372,8 +356,8 @@ def verify_reduction_chain(g1: Graph, g2: Graph) -> ChainReport:
         kappa_compare=kappa_compare,
         ranking_answer=ranking_answer,
         equations_hold=equations_hold,
-        winner_checked=winner_checked,
-        winner_answer=winner_answer,
+        winner_checked=False,
+        winner_answer=None,
         consistent=consistent,
     )
 
@@ -401,7 +385,7 @@ def parse_graph(text: str) -> Graph:
         u, v = endpoints
         at_line(lineno, _check_edge, u, v, index, seen)
         edges.append((u, v) if index[u] < index[v] else (v, u))
-    return Graph._make((vertices, tuple(edges)))  # every line is checked above
+    return tuple.__new__(Graph, (vertices, tuple(edges)))  # every line is checked above
 
 
 def parse_set_family(text: str) -> SetFamilyInstance:
@@ -420,7 +404,7 @@ def parse_set_family(text: str) -> SetFamilyInstance:
         member = _in_base_order(rest.split(), index)
         at_line(lineno, _check_member, member, index)
         family.append(member)
-    return SetFamilyInstance._make((base, tuple(family)))  # every line is checked above
+    return tuple.__new__(SetFamilyInstance, (base, tuple(family)))  # every line is checked above
 
 
 def serialize_set_family(s: SetFamilyInstance) -> str:

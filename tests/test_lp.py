@@ -196,16 +196,23 @@ class TestSolveLP:
 
     def test_bound_flips_against_scipy(self, monkeypatch):
         # Boxes at least 2 wide, so that the ratio test can pass a column by
-        # flipping it; every flip goes through `_Simplex._move`.
+        # flipping it.  Every flip goes through `_Simplex._move`, and so does
+        # each entering column's own step, right before its `_pivot`, which
+        # drops it from the count.
         scipy_opt = pytest.importorskip("scipy.optimize")
         flips = []
-        move = lp_module._Simplex._move
+        move, pivot = lp_module._Simplex._move, lp_module._Simplex._pivot
 
-        def counted(self, moves):
+        def counted_move(self, moves):
             flips.extend(moves)
             return move(self, moves)
 
-        monkeypatch.setattr(lp_module._Simplex, "_move", counted)
+        def counted_pivot(self, r, col):
+            assert flips.pop()[0] == col
+            return pivot(self, r, col)
+
+        monkeypatch.setattr(lp_module._Simplex, "_move", counted_move)
+        monkeypatch.setattr(lp_module._Simplex, "_pivot", counted_pivot)
         rng = random.Random(2605)
         checked = 0
         for _ in range(60):
@@ -476,13 +483,13 @@ class TestSolveILP:
         # Only the root builds a slack-basis simplex, also when a certificate
         # settled it without one: then it is built once, before branching.
         builds = []
-        start = lp_module._start
+        init = lp_module._Simplex.__init__
 
-        def counted(lp):
+        def counted(self, lp):
             builds.append(lp)
-            return start(lp)
+            init(self, lp)
 
-        monkeypatch.setattr(lp_module, "_start", counted)
+        monkeypatch.setattr(lp_module._Simplex, "__init__", counted)
         sol = solve_ilp(self.FRACTIONAL_ROOT, certificate)
         assert (sol.objective_value, sol.assignment) == (10, {0: 2, 1: 2})
         assert len(builds) == cold

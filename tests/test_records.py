@@ -158,3 +158,31 @@ class TestParseOnce:
         fam = parse_set_family("base: u1 u2 u3\nset: u2 u1\nset: u3\n")
         assert len(calls) == len(fam.family) == 2
         assert fam == SetFamilyInstance(fam.base, fam.family)
+
+
+class TestReplaceChecks:
+    """namedtuple's `_replace` and `_make` go through each record's checks,
+    as they do for the LP records."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_profile("candidates: a b c\nvoter: a > b > c\nvoter: b > c > a\n")._replace(
+                voters=((("a", "a", "b"), 1),)),
+            lambda: Profile._make(((), ())),
+            lambda: parse_graph(STAR3)._replace(edges=(("h", "zz"),)),
+            lambda: _family()._replace(family=(("u3",),)),
+        ],
+        ids=["profile-order", "profile-make", "graph-edge", "set-family-member"],
+    )
+    def test_bad_fields_raise(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_valid_replace_still_works(self):
+        p = parse_profile(CYCLE)._replace(voters=((("C", "B", "A"), 2),))
+        assert (type(p), p.num_voters) == (Profile, 2)
+        g = parse_graph(STAR3)._replace(edges=(("l2", "l1"),))
+        assert (type(g), g.edges) == (Graph, (("l1", "l2"),))  # endpoints put in vertex order
+        fam = _family()._replace(family=(("u2", "u1"),))
+        assert (type(fam), fam.family) == (SetFamilyInstance, (("u1", "u2"),))

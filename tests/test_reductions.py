@@ -339,9 +339,12 @@ class TestVerifyChain:
         # collapsing identical rival rows leaves 19 columns and 47/71 rows
         # (36 columns and 117 rows per order and rival).  Its Young programs
         # are the deepest branch-and-bound trees tier-1 solves, so their node
-        # (`solve_lp` call) and `_Simplex._pivot` counts are pinned too.
-        nodes, pivots = [], []
+        # (`solve_lp` call) and `_Simplex._pivot` counts are pinned too, and
+        # so is the number of slack-basis builds (`_Simplex.__init__` calls):
+        # one per search, since every child starts from its parent's simplex.
+        nodes, pivots, builds = [], [], []
         solve_lp, pivot = lp_module.solve_lp, lp_module._Simplex._pivot
+        init = lp_module._Simplex.__init__
 
         def counted_solve_lp(*args):
             nodes.append(None)
@@ -351,8 +354,13 @@ class TestVerifyChain:
             pivots.append(None)
             return pivot(self, *args)
 
+        def counted_init(self, lp):
+            builds.append(None)
+            init(self, lp)
+
         monkeypatch.setattr(lp_module, "solve_lp", counted_solve_lp)
         monkeypatch.setattr(lp_module._Simplex, "_pivot", counted_pivot)
+        monkeypatch.setattr(lp_module._Simplex, "__init__", counted_init)
         rng = random.Random(0)
         names = [f"v{i}" for i in range(16)]
 
@@ -369,12 +377,13 @@ class TestVerifyChain:
         for x, k in ((red.c, red.kappa1), (red.d, red.kappa2)):
             nodes.clear()
             pivots.clear()
+            builds.clear()
             score, kept = young_score_with_subset(p, x)
-            searches.append((len(nodes), len(pivots)))
+            searches.append((len(nodes), len(pivots), len(builds)))
             assert score == 2 * k + 1
             assert validate_young_witness(p, x, score, kept)
         assert (red.kappa1, red.kappa2) == (5, 4)
-        assert searches == [(25, 108), (31, 129)]
+        assert searches == [(25, 108, 1), (31, 129, 1)]
 
     def test_guard_propagates(self):
         with pytest.raises(ValueError, match="exceed 2"):
