@@ -408,14 +408,14 @@ def validate_dodgson_witness(profile: Profile, c: CandidateId, score: int, moves
     return sum(j * count for _, j, count in moves) == score and condorcet_winner(replayed) == c
 
 
-def dodgson_score_bruteforce(profile: Profile, c: CandidateId, *, heuristic: bool = True) -> int:
+def dodgson_score_bruteforce(profile: Profile, c: CandidateId) -> int:
     """Shortest-path search over profiles reachable by single adjacent swaps.
 
     Swap moves are applied to every voter and every adjacent pair, so the
     search follows the definition directly.  States are canonicalized by
-    sorting the expanded orders (voters are interchangeable) and the search
-    may be guided by an admissible lower bound: each swap changes exactly one
-    head-to-head count involving the swapped pair by one, so the summed
+    sorting the expanded orders (voters are interchangeable), and the A*
+    search is guided by an admissible lower bound: each swap changes exactly
+    one head-to-head count involving the swapped pair by one, so the summed
     majority deficits of c never drop by more than one per swap.
     """
     _require_candidate(profile, c)
@@ -446,12 +446,10 @@ def dodgson_score_bruteforce(profile: Profile, c: CandidateId, *, heuristic: boo
                 totals[i] += b
         return sum(max(0, thr - tot) for tot in totals)
 
-    h = deficit if heuristic else (lambda state: 0)
-
     start = tuple(sorted(profile.expanded()))
     dist = {start: 0}
     counter = 0
-    heap = [(h(start), 0, counter, start)]
+    heap = [(deficit(start), 0, counter, start)]
     while heap:
         f, g, _, state = heapq.heappop(heap)
         if dist.get(state, -1) != g:
@@ -470,7 +468,7 @@ def dodgson_score_bruteforce(profile: Profile, c: CandidateId, *, heuristic: boo
                 if nd < dist.get(nxt_state, nd + 1):
                     dist[nxt_state] = nd
                     counter += 1
-                    heapq.heappush(heap, (nd + h(nxt_state), nd, counter, nxt_state))
+                    heapq.heappush(heap, (nd + deficit(nxt_state), nd, counter, nxt_state))
     raise RuntimeError("internal: swap graph search exhausted")  # pragma: no cover
 
 

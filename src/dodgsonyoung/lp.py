@@ -12,20 +12,21 @@ outside its bounds, and its ratio test flips a boxed column to its other
 bound instead of entering it while the row stays short (the bound-flipping
 or long-step test); the step after a degenerate one falls back to Bland's
 rule in dual form, which keeps the search finite (see `_Simplex`).  Branch
-and bound starts each child from its parent's simplex with one column's
-bounds set to the child's; `solve_lp` alone reports crossed bounds, for the
-root and every child.  Every coefficient is a Fraction, so feasibility and
-optimality hold exactly; there is no tolerance anywhere.  Every optimum,
-from the simplex or from a certificate, passes one check: substitution,
-and a value that its multipliers prove through `dual_bound`.  The program
-types are named tuples that turn ints into Fractions and reject floats in
-their ``__new__``.  Columns are positional:
-a `Variable` is the ``(lower, upper)`` pair of its column, and a solution's
-assignment is ``{column: value}`` in column order.  Programs are sparse from
-end to end: a `Constraint` is built from a ``{column: coefficient}`` mapping
-and holds the ``(column, coefficient)`` pairs of its nonzero entries, and
-each simplex row starts as a dict of them, so building and checking a
-program cost its nonzeros, not rows times columns.
+and bound rounds every box to integers, and each child copies its parent's
+solved simplex and sets one basic column's bounds to the child's; only a
+root can have crossed bounds, which `solve_lp` reports.  Every coefficient
+is a Fraction, so feasibility and optimality hold exactly; there is no
+tolerance anywhere.  Every optimum, from the simplex or from a certificate,
+passes one check: substitution, and a value that its multipliers prove
+through `dual_bound`.  The program types are named tuples that turn ints
+into Fractions and reject floats in their ``__new__``.  Columns are
+positional: a `Variable` is the ``(lower, upper)`` pair of its column, and
+a solution's assignment is ``{column: value}`` in column order.  Programs
+are sparse from end to end: a `Constraint` is built from a
+``{column: coefficient}`` mapping and holds the ``(column, coefficient)``
+pairs of its nonzero entries, and each simplex row starts as a dict of
+them, so building and checking a program cost its nonzeros, not rows times
+columns.
 
 A caller that already knows a good point can pass it to `solve_lp` with a
 dual vector as a certificate.  The point is checked by substitution and the
@@ -105,17 +106,22 @@ class Constraint(namedtuple("Constraint", "coeffs relation rhs")):
 
 
 class LinearProgram(namedtuple("LinearProgram", "direction variables objective constraints")):
+    """A program whose variables, objective and constraints are stored as tuples."""
+
     __slots__ = ()
 
     def __new__(cls, direction, variables, objective, constraints=()):
         if direction not in ("min", "max"):
             raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+        variables, constraints = tuple(variables), tuple(constraints)
         if not all(isinstance(v, Variable) for v in variables):
             raise TypeError("variables must be Variable records")
         if len(objective) != len(variables):
             raise ValueError("objective length does not match variable count")
         n = len(variables)
         for con in constraints:
+            if not isinstance(con, Constraint):
+                raise TypeError("constraints must be Constraint records")
             if con.coeffs and con.coeffs[-1][0] >= n:
                 raise ValueError(f"constraint column {con.coeffs[-1][0]} out of range 0..{n - 1}")
         return super().__new__(cls, direction, variables, tuple(frac(c) for c in objective), constraints)
@@ -127,12 +133,8 @@ def linear_program(direction, variables, objective, constraints=()) -> LinearPro
     """Convenience constructor: variables as (lower, upper), constraints
     as (coeffs, relation, rhs) with coeffs a {column: coefficient} mapping
     (see `Constraint`)."""
-    return LinearProgram(
-        direction,
-        tuple(Variable(*var) for var in variables),
-        tuple(objective),
-        tuple(Constraint(*con) for con in constraints),
-    )
+    return LinearProgram(direction, (Variable(*var) for var in variables), tuple(objective),
+                         (Constraint(*con) for con in constraints))
 
 
 class LPSolution(namedtuple("LPSolution", "status assignment objective_value")):
@@ -161,9 +163,9 @@ class _Simplex:
     every column and `z` the reduced cost of every column.  A nonbasic
     column sits at its lower or its upper bound.  Program columns are boxed;
     a slack's bounds are 0 and None, since no row bounds its surplus.  Every
-    change of values, a flip, a bound or an entering step, goes through
-    `_move`, and every change of basis through `_pivot`.  Crossed bounds
-    are not checked here: `solve_lp` reports them before it solves.
+    change of values, a flip or an entering step, goes through `_move`, and
+    every change of basis through `_pivot`.  Crossed bounds are not checked
+    here: `solve_lp` reports them before it solves.
 
     Each step takes the basic column that lies furthest outside its bounds
     (ties to the smallest index) and moves it to the bound it violates.  The
@@ -180,10 +182,10 @@ class _Simplex:
     of it would follow a degenerate one and so be a Bland step, and Bland's
     rule in dual form cannot cycle.
 
-    Branch and bound starts a child from a `copy` of its parent's state,
-    with one column's bounds set by `bound`: the reduced costs are
-    untouched, so the start stays dual feasible and the same loop repairs
-    the basic values.
+    Branch and bound starts a child from a `copy` of its parent's solved
+    state with the bounds of one basic column set to the child's: its
+    reduced cost is 0, so the start stays dual feasible and the same loop
+    repairs its value.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -213,14 +215,6 @@ class _Simplex:
         other.lower, other.upper = self.lower[:], self.upper[:]
         other.z, other.basis, other.x = self.z[:], self.basis[:], self.x[:]
         return other
-
-    def bound(self, j: int, lower: Fraction, upper: Fraction) -> None:
-        """Set column j's bounds to [lower, upper], crossed or not.  A
-        nonbasic column that falls outside moves to the bound it sat at."""
-        self.lower[j], self.upper[j] = lower, upper
-        x = self.x[j]
-        if j not in self.basis and not lower <= x <= upper:
-            self._move(((j, (lower if x < lower else upper) - x),))
 
     def _move(self, moves) -> None:
         """Move each nonbasic column j by d, for (j, d) in moves, and the
@@ -382,11 +376,11 @@ def solve_lp(lp: LinearProgram, certificate=None) -> LPSolution:
     dual feasible start for lp, which is solved from there and left in its
     final state.
 
-    Crossed bounds are checked here alone, before any simplex solves: the
-    program is infeasible, from the slack basis or a given `_Simplex` alike.
-    The reduced costs of the slacks are the final basis's multipliers, one
-    per constraint; an optimum whose value they do not prove raises, as a
-    point that breaks a row does.
+    Crossed bounds, which a branch-and-bound child never has, are checked
+    here alone, before any simplex solves: the program is infeasible.  The
+    reduced costs of the slacks are the final basis's multipliers, one per
+    constraint; an optimum whose value they do not prove raises, as a point
+    that breaks a row does.
     """
     if certificate is not None and type(certificate) is not _Simplex:
         point, duals = certificate
@@ -417,23 +411,24 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
 
     A row of integer coefficients has an integral left-hand side, so its
     right-hand side is rounded first (up for ``>=``, down for ``<=``), which
-    cuts off the half votes of a weak threshold before any branching.  A
+    cuts off the half votes of a weak threshold before any branching; each
+    box is rounded inward too, to ``[ceil(lower), floor(upper)]``.  A
     certificate is made for the program as given, so a rounding drops it.
 
     A node is ``lp`` with tightened bounds, and the stack holds each node
     program, a child being its parent with one `Variable` replaced, with the
-    `_Simplex` its `solve_lp` call starts from.  Every child starts from its
-    parent's final simplex with the branched column's bounds set to the
-    child's own, so that only the basic values need repair; a root given a
-    certificate has none, so its slack-basis one, `_Simplex(node)`, is built
-    before it branches.  A child whose bounds cross gets its simplex like
-    any other, and `solve_lp` reports it infeasible.  Branches on the
-    fractional variable whose value has the largest denominator (ties to
-    the smallest index), explores the nearer integer side first, and prunes
-    against the best incumbent.  Bounds and incumbents are compared as
-    ``sense * value`` (``sense`` is -1 for ``max``), so smaller is better in
-    both directions.  When every objective coefficient is an integer,
-    relaxation bounds are rounded before pruning.
+    `_Simplex` its `solve_lp` call starts from.  A node branches only from
+    the simplex that solved it, whose nonbasic columns sit at integral
+    bounds: the fractional column is basic, and each child copies the
+    simplex and sets that column's bounds, which never cross.  A root given
+    a certificate has no simplex, so before it branches it is pushed back
+    once with `_Simplex(node)`.  Branches on the fractional variable whose
+    value has the largest denominator (ties to the smallest index), explores
+    the nearer integer side first, and prunes against the best incumbent.
+    Bounds and incumbents are compared as ``sense * value`` (``sense`` is -1
+    for ``max``), so smaller is better in both directions.  When every
+    objective coefficient is an integer, relaxation bounds are rounded
+    before pruning.
     """
     rows = tuple(
         con._replace(rhs=Fraction(math.ceil(con.rhs) if con.relation == ">=" else math.floor(con.rhs)))
@@ -441,8 +436,10 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
         else con
         for con in lp.constraints
     )
-    if rows != lp.constraints:
-        lp, certificate = lp._replace(constraints=rows), None
+    box = tuple(var if var.lower.denominator == var.upper.denominator == 1
+                else Variable(math.ceil(var.lower), math.floor(var.upper)) for var in lp.variables)
+    if rows != lp.constraints or box != lp.variables:
+        lp, certificate = lp._replace(variables=box, constraints=rows), None
     sense = 1 if lp.direction == "min" else -1
     can_round = all(c.denominator == 1 for c in lp.objective)
 
@@ -461,9 +458,10 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
         if not fractional:
             best = sol
             continue
+        if type(start) is not _Simplex:  # a root given a certificate: solve it, then branch
+            stack.append((node, _Simplex(node)))
+            continue
         idx, val = max(fractional, key=lambda item: (item[1].denominator, -item[0]))
-        if type(start) is not _Simplex:
-            start = _Simplex(node)
         lo, hi = node.variables[idx]
         floor_val = Fraction(math.floor(val))
         head, tail = node.variables[:idx], node.variables[idx + 1:]
@@ -473,7 +471,6 @@ def solve_ilp(lp: LinearProgram, certificate=None) -> LPSolution:
         if val - floor_val <= Fraction(1, 2):
             children.reverse()
         for lower, upper, child in children:
-            var = Variable(lower, upper)
-            child.bound(idx, *var)
-            stack.append((node._replace(variables=head + (var,) + tail), child))
+            child.lower[idx], child.upper[idx] = lower, upper
+            stack.append((node._replace(variables=head + (Variable(lower, upper),) + tail), child))
     return best if best is not None else LPSolution("infeasible")

@@ -57,14 +57,17 @@ def _check_voter(order, mult, candidates: set[CandidateId], written: str | None 
 class Profile(namedtuple("Profile", "candidates voters")):
     """Candidates plus voters, each voter a (preference order, multiplicity) entry.
 
-    Every order must be a permutation of the full candidate set.  A profile
-    built directly may have zero voters; the file format requires at least
-    one voter line.
+    Every order must be a permutation of the full candidate set.  The
+    candidates, the entries and each order are stored as tuples, so a
+    profile is immutable and hashable.  A profile built directly may have
+    zero voters; the file format requires at least one voter line.
     """
 
     __slots__ = ()
 
     def __new__(cls, candidates, voters):
+        candidates = tuple(candidates)
+        voters = tuple((tuple(order), mult) for order, mult in voters)
         names = _check_candidates(candidates)
         for order, mult in voters:
             _check_voter(order, mult, names)

@@ -60,12 +60,14 @@ def _in_base_order(elements, index: dict[str, int]) -> tuple[str, ...]:
 
 
 class Graph(namedtuple("Graph", "vertices edges")):
-    """Simple undirected graph; vertex and edge order follow the input, and
+    """Simple undirected graph, built from any iterable of vertices and of
+    edges and stored as tuples; vertex and edge order follow the input, and
     each edge's endpoints are put in vertex order."""
 
     __slots__ = ()
 
     def __new__(cls, vertices, edges):
+        vertices = tuple(vertices)
         index = _index(vertices, "vertex")
         seen: set[frozenset[str]] = set()
         normalized = []
@@ -77,18 +79,18 @@ class Graph(namedtuple("Graph", "vertices edges")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # as in Profile
 
 
-def graph(vertices, edges) -> Graph:
-    """Build a Graph from any iterable of vertices and of edges."""
-    return Graph(tuple(vertices), edges)
+graph = Graph
 
 
 class SetFamilyInstance(namedtuple("SetFamilyInstance", "base family")):
     """Ordered ground set plus a family of nonempty member sets, each member
-    set sorted by ground-set order."""
+    set sorted by ground-set order; built from any iterables and stored as
+    tuples."""
 
     __slots__ = ()
 
     def __new__(cls, base, family):
+        base = tuple(base)
         index = _index(base, "ground-set element")
         members = []
         for member in family:
@@ -100,9 +102,7 @@ class SetFamilyInstance(namedtuple("SetFamilyInstance", "base family")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # as in Profile
 
 
-def set_family(base, family) -> SetFamilyInstance:
-    """Build a SetFamilyInstance from any iterable of elements and of member sets."""
-    return SetFamilyInstance(tuple(base), family)
+set_family = SetFamilyInstance
 
 
 class MSPCInstance(namedtuple("MSPCInstance", "first second")):

@@ -82,6 +82,20 @@ def test_kappa_is_computed_once_per_family(monkeypatch, capsys):
         assert len(calls) == 2, argv
 
 
+def test_reduce_emits_the_mspc_instance_as_json(capsys):
+    # not in GOLDEN_CASES, which the cli-chain benchmark workload replays
+    argv = ["reduce", "--graph1", "star3.graph", "--graph2", "star4.graph", "--emit", "mspc", "--format", "json"]
+    assert run(_expand(argv)) == 0
+    data = json.loads(capsys.readouterr().out)
+    inst = reductions.inc_to_mspc(*(reductions.parse_graph((FIXTURES / name).read_text())
+                                    for name in ("star3.graph", "star4.graph")))
+    assert sorted(data) == ["base1", "base2", "family1", "family2"]
+    for i, family in (("1", inst.first), ("2", inst.second)):
+        assert tuple(data["base" + i]) == family.base
+        assert tuple(map(tuple, data["family" + i])) == family.family
+    assert len(data["family1"]) == 4 and len(data["family2"]) == 5  # a set per vertex
+
+
 class TestExitCodes:
     def test_missing_file_is_domain_error(self, capsys):
         assert run(["condorcet", "--profile", str(FIXTURES / "nope.elect")]) == 1

@@ -416,9 +416,10 @@ class TestSolveILP:
         assert dual_bound(lp, certificate[1]) == 12
         calls = self.counted_lp_calls(monkeypatch)
         sol = solve_ilp(lp, certificate)
-        # only the root call gets the certificate; every other node gets the
-        # simplex it starts from
-        assert len(calls) == 9 and calls[0] == (certificate,)
+        # only the root call gets the certificate; every other call gets the
+        # simplex it starts from, the root's second call its slack basis, so
+        # that its children copy a solved simplex
+        assert len(calls) == 10 and calls[0] == (certificate,)
         assert all(type(start) is lp_module._Simplex for start, in calls[1:])
         assert sol == solve_ilp(lp)
         assert (sol.objective_value, sol.assignment) == (10, {0: 2, 1: 2})
@@ -494,32 +495,52 @@ class TestSolveILP:
         assert (sol.objective_value, sol.assignment) == (10, {0: 2, 1: 2})
         assert len(builds) == cold
 
+    NEGATIVE_LOWER = random_bounded_ilp(random.Random(37), max_vars=6, max_grid=4096)
+
     @pytest.mark.parametrize(
-        "lp, certificate",
+        "lp, certificate, least",
         [
-            (FRACTIONAL_ROOT, None),
-            (FRACTIONAL_ROOT, ([3, F(3, 2)], [F(5, 4), F(1, 4)])),
-            (random_bounded_ilp(random.Random(37), max_vars=6, max_grid=4096), None),
+            (FRACTIONAL_ROOT, None, 8),
+            (FRACTIONAL_ROOT, ([3, F(3, 2)], [F(5, 4), F(1, 4)]), 8),
+            (NEGATIVE_LOWER, None, 8),
+            (linear_program("max", [(0, F(5, 2))], [1], []), None, 1),
+            # unrounded, x sits at 5/2 and is branched on while nonbasic;
+            # rounded to [0, 2] x [1, 3], the root puts y at 3/2 and branches
+            (linear_program("max", [(0, F(5, 2)), (F(1, 3), F(10, 3))], [2, 1],
+                            [({0: 2, 1: 2}, "<=", 7)]), None, 3),
         ],
-        ids=["root", "certified-root", "negative-lower-bounds"],
+        ids=["root", "certified-root", "negative-lower-bounds", "fractional-box", "two-fractional-boxes"],
     )
-    def test_every_start_holds_its_nodes_own_bounds(self, monkeypatch, lp, certificate):
+    def test_every_start_holds_its_nodes_own_bounds(self, monkeypatch, lp, certificate, least):
         # The simplex keeps each column's real [lower, upper], not a width
-        # shifted to 0, so a node's start carries exactly the node's box.
+        # shifted to 0, so a node's start carries exactly the node's box,
+        # rounded to integers.  Every nonbasic column sits at one of its
+        # bounds: a child copies a solved parent, whose fractional column,
+        # the branched one, is basic.
         starts = []
 
         def checked(node, start=None):
             if type(start) is lp_module._Simplex:
                 n = len(node.variables)
                 assert list(zip(start.lower[:n], start.upper[:n])) == list(node.variables)
+                assert all(start.x[j] in var for j, var in enumerate(node.variables) if j not in start.basis)
                 starts.append(start)
             return solve_lp(node, start)
 
         monkeypatch.setattr(lp_module, "solve_lp", checked)
         sol = solve_ilp(lp, certificate)
-        assert sol.status == "optimal" and len(starts) >= 8
-        if lp is not self.FRACTIONAL_ROOT:
+        assert sol.status == "optimal" and len(starts) >= least
+        if lp is self.NEGATIVE_LOWER:
             assert min(v.lower for v in lp.variables) < 0
+
+    def test_a_fractional_box_is_rounded_at_the_root(self, monkeypatch):
+        lp = linear_program("max", [(F(1, 3), F(7, 3))], [1], [])
+        certificate = ([F(7, 3)], [])
+        assert solve_lp(lp, certificate).objective_value == F(7, 3)  # proves the unrounded root
+        calls = self.counted_lp_calls(monkeypatch)
+        sol = solve_ilp(lp, certificate)
+        assert (sol.objective_value, sol.assignment) == (2, {0: 2})
+        assert len(calls) == 1 and type(calls[0][0]) is lp_module._Simplex
 
 
 class TestProgramTypes:

@@ -6,12 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from dodgsonyoung import profiles, reductions
+from dodgsonyoung import dodgson_star_score, profiles, reductions, young_score
 from dodgsonyoung.lp import (
     Constraint,
+    LinearProgram,
     LPSolution,
     Variable,
     linear_program,
+    solve_ilp,
     solve_lp,
 )
 from dodgsonyoung.profiles import Profile, parse_profile, tally
@@ -186,3 +188,39 @@ class TestReplaceChecks:
         assert (type(g), g.edges) == (Graph, (("l1", "l2"),))  # endpoints put in vertex order
         fam = _family()._replace(family=(("u2", "u1"),))
         assert (type(fam), fam.family) == (SetFamilyInstance, (("u1", "u2"),))
+
+
+class TestListArguments:
+    """Records store the lists they are given as tuples, so they stay
+    immutable and hashable and fail at once on a raw row or variable."""
+
+    def test_linear_program(self):
+        lp = LinearProgram("max", [Variable(0, 10), Variable(0, 10)], [3, 2],
+                           [Constraint({0: 2, 1: 2}, "<=", 9), Constraint({0: 2, 1: -2}, "<=", 3)])
+        assert type(lp.variables) is type(lp.constraints) is tuple
+        assert lp == linear_program("max", [(0, 10), (0, 10)], [3, 2],
+                                    [({0: 2, 1: 2}, "<=", 9), ({0: 2, 1: -2}, "<=", 3)])
+        hash(lp)
+        assert (solve_lp(lp).objective_value, solve_ilp(lp).objective_value) == (12, 10)
+
+    def test_raw_rows_and_variables_raise(self):
+        with pytest.raises(TypeError, match="constraints must be Constraint records"):
+            LinearProgram("min", (Variable(0, 1),), (1,), (({0: 1}, ">=", 1),))
+        with pytest.raises(TypeError, match="variables must be Variable records"):
+            LinearProgram("min", ((0, 1),), (1,), ())
+
+    def test_profile(self):
+        p = Profile(["a", "b", "c"], [(("a", "b", "c"), 1), (["b", "c", "a"], 2)])
+        assert p == Profile(("a", "b", "c"), ((("a", "b", "c"), 1), (("b", "c", "a"), 2)))
+        assert type(p.candidates) is type(p.voters) is type(p.voters[1][0]) is tuple
+        hash(p)
+        assert (young_score(p, "a"), dodgson_star_score(p, "c")) == (1, F(3, 2))
+
+    def test_graph_and_set_family(self):
+        g = Graph(["a", "b", "c"], [["a", "b"], ["c", "b"]])
+        assert g == Graph(("a", "b", "c"), (("a", "b"), ("b", "c"))) and type(g.vertices) is tuple
+        fam = SetFamilyInstance(["x1", "x2"], [["x2", "x1"], ["x2"]])
+        assert fam == SetFamilyInstance(("x1", "x2"), (("x1", "x2"), ("x2",))) and type(fam.base) is tuple
+        hash(g), hash(fam)
+        # the lower-case builders are the classes themselves
+        assert (reductions.graph, reductions.set_family) == (Graph, SetFamilyInstance)
